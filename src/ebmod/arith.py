@@ -139,16 +139,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n=n, factors=factors)
 
 
-def big_omega(f: Factorization) -> int:
-    """Omega(n): prime divisors counted with multiplicity."""
-    return f.big_omega
-
-
-def small_omega(f: Factorization) -> int:
-    """omega(n): number of distinct prime divisors."""
-    return f.omega
-
-
 def is_idempotent(a: int, n: int) -> bool:
     """True iff a*a = a (mod n); a is reduced mod n first."""
     if n < 2:

@@ -92,6 +92,7 @@ def eb_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> EBResult:
     else:
         lower = dav_bounds[0] + gap  # still a certified floor for I
     candidates = [a for a in range(n) if a not in E]
+    engine = None
     try:
         engine = FreeSearch(
             n=n,
@@ -102,13 +103,14 @@ def eb_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> EBResult:
         )
         free_len = engine.max_free_length(seed=lower - 1)
     except BudgetExceeded:
+        proven = engine.best_true if engine is not None else 0
         return EBResult(
             n=n,
             value=None,
             witness=None,
             lower_bound=dav.value + gap if dav is not None else None,
             status=STATUS_UNDECIDED,
-            bounds=(lower, cap + 1),
+            bounds=(max(lower, proven + 1), cap + 1),
         )
     value = free_len + 1
     witness = ResidueSequence(n, engine.witness(free_len))

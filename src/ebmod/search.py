@@ -19,6 +19,19 @@ Key facts the engine leans on:
   product set).  This yields the slack pruning rule
   popcount(S) + r > cap  =>  no r-term extension exists.
 
+* Forbidden-preimage prefilter.  For each candidate a the engine keeps
+  bad(a) = {s : s*a mod n is forbidden} as one n-bit mask.  Let S be
+  the product set of a free sequence and T = S | {a} | S*a the product
+  set after appending a.  Then T meets the forbidden set exactly when
+  a is forbidden or S & bad(a) != 0.  Proof: S avoids the forbidden set
+  because the sequence is free, so T meets it exactly when {a} or S*a
+  does; {a} does iff a is forbidden, and S*a does iff some s in S has
+  s*a forbidden, i.e. iff s lies in S and in bad(a).  Forbidden
+  candidates can never appear in a free sequence, so the constructor
+  drops them, and every remaining candidate is then tested with one
+  AND before its image is built.  A surviving candidate with one term
+  left to place proves its state outright, without building T.
+
 * Monotone reach.  If state S extends by r further terms, it extends by
   fewer; if it cannot extend by r, it cannot extend by more.  The memo
   therefore stores per state a pair (best r proven reachable, worst r
@@ -70,7 +83,8 @@ class FreeSearch:
         budget: SearchBudget,
     ):
         self.n = n
-        self.candidates = sorted(candidates)
+        # a forbidden term is never part of a free sequence
+        self.candidates = sorted(a for a in candidates if not forbidden_mask >> a & 1)
         self.forbidden = forbidden_mask
         self.cap = cap
         self.budget = budget
@@ -92,39 +106,51 @@ class FreeSearch:
                 f"candidate image tables for n={n} need {table_cells} cells"
             )
         self._selfbit = [1 << a for a in self.candidates]
+        self._bad = [self._forbidden_preimage(a) for a in self.candidates]
         self._tables = [self._build_table(a) for a in self.candidates]
         # recursion depth tracks extension length, bounded by cap
         sys.setrecursionlimit(max(sys.getrecursionlimit(), cap + 200))
 
-    def _build_table(self, a: int) -> list[list[int]]:
-        """Per 8-bit chunk of a product-set mask, the OR of images
-        s -> s*a for every subset of that chunk, indexed by byte value.
+    def _forbidden_preimage(self, a: int) -> int:
+        """Mask of the residues s with s*a mod n forbidden."""
+        n, forbidden = self.n, self.forbidden
+        return sum(1 << s for s in range(n) if forbidden >> (s * a % n) & 1)
+
+    def _build_table(self, a: int) -> list[int]:
+        """Per 8-bit chunk c of a product-set mask, the OR of images
+        s -> s*a for every subset b of that chunk, at index c << 8 | b.
         Built incrementally: image(v) = image(v minus lowest bit) |
         image(lowest bit)."""
         n = self.n
-        out = []
+        table = [0] * (self._nbytes << 8)
         for c in range(self._nbytes):
             base = 8 * c
-            row = [0] * 256
+            off = c << 8
             for j in range(8):
                 if base + j < n:
-                    row[1 << j] = 1 << ((base + j) * a % n)
+                    table[off | 1 << j] = 1 << ((base + j) * a % n)
             for v in range(3, 256):
                 low = v & -v
                 if v != low:
-                    row[v] = row[v & (v - 1)] | row[low]
-            out.append(row)
-        return out
+                    table[off | v] = table[off | v & (v - 1)] | table[off | low]
+        return table
 
-    def _image(self, S: int, idx: int) -> int:
+    def _chunks(self, S: int) -> list[int]:
+        """Table indices c << 8 | b of the nonzero bytes b of S."""
+        return [
+            c << 8 | b
+            for c, b in enumerate(S.to_bytes(self._nbytes, "little"))
+            if b
+        ]
+
+    def _image(self, S: int, chunks: list[int], idx: int) -> int:
         """Product set after appending candidates[idx] to a sequence
-        whose product set is S."""
+        whose product set is S, given chunks = self._chunks(S)."""
         tbl = self._tables[idx]
-        img = self._selfbit[idx]
-        for c, b in enumerate(S.to_bytes(self._nbytes, "little")):
-            if b:
-                img |= tbl[c][b]
-        return S | img
+        img = S | self._selfbit[idx]
+        for cb in chunks:
+            img |= tbl[cb]
+        return img
 
     def _tick(self) -> None:
         self._states += 1
@@ -156,18 +182,22 @@ class FreeSearch:
                 return True
             if r >= ent >> _LO_SHIFT:
                 return False
-        forbidden = self.forbidden
+        bad = self._bad
+        chunks = self._chunks(S)
+        room = self.cap - (r - 1)  # a child above this fails its slack test
         for idx in range(floor, len(self.candidates)):
-            T = self._image(S, idx)
-            if T & forbidden:
-                continue
-            # T != S is automatic: a stalled product set would mean some
-            # power of the new term is already an achieved forbidden
-            # product, contradicting S being free.
-            if self._reach(T, idx, r - 1):
-                if r > ent & _LO_INIT:
-                    self._memo[key] = (ent >> _LO_SHIFT << _LO_SHIFT) | r
-                return True
+            if S & bad[idx]:
+                continue  # the extension is not free (prefilter)
+            # The extension T is free, so T != S: a stalled product set
+            # would mean some power of the new term is already an
+            # achieved forbidden product.  With r == 1, T proves S.
+            if r > 1:
+                T = self._image(S, chunks, idx)
+                if T.bit_count() > room or not self._reach(T, idx, r - 1):
+                    continue
+            if r > ent & _LO_INIT:
+                self._memo[key] = (ent >> _LO_SHIFT << _LO_SHIFT) | r
+            return True
         if r < ent >> _LO_SHIFT:
             self._memo[key] = (r << _LO_SHIFT) | (ent & _LO_INIT)
         return False
@@ -215,10 +245,11 @@ class FreeSearch:
         floor = 0
         remaining = length
         while remaining > 0:
+            chunks = self._chunks(S)
             for idx in range(floor, len(self.candidates)):
-                T = self._selfbit[idx] if S == 0 else self._image(S, idx)
-                if T & self.forbidden:
+                if S & self._bad[idx]:
                     continue
+                T = self._image(S, chunks, idx)
                 if self._reach(T, idx, remaining - 1):
                     terms.append(self.candidates[idx])
                     S, floor, remaining = T, idx, remaining - 1

@@ -76,6 +76,23 @@ def brute_max_free_multisets(n: int) -> list[tuple[int, ...]]:
         length += 1
 
 
+def brute_max_product_one_free_multisets(n: int) -> list[tuple[int, ...]]:
+    """All maximum-length product-one-free unit multisets mod n."""
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    best: list[tuple[int, ...]] = [()]
+    length = 1
+    while True:
+        found = [
+            t
+            for t in combinations_with_replacement(units, length)
+            if brute_is_product_one_free(t, n)
+        ]
+        if not found:
+            return best
+        best = found
+        length += 1
+
+
 def brute_product_one_subsequence(terms, n: int):
     """Minimum-length, then lexicographically smallest sub-multiset with
     product 1 mod n; None if no subset multiplies to 1."""

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import ebmod.davenport as dav_mod
+import ebmod.ebconstant as ebc_mod
 from ebmod.arith import factorize, idempotents, is_idempotent
 from ebmod.davenport import davenport_exact
 from ebmod.ebconstant import (
@@ -21,7 +22,7 @@ from ebmod.ebconstant import (
     extract_witness_squarefree,
     verify_theorem,
 )
-from ebmod.errors import DomainError
+from ebmod.errors import DomainError, UndecidedError
 from ebmod.search import SearchBudget
 from ebmod.sequences import (
     ResidueSequence,
@@ -30,7 +31,7 @@ from ebmod.sequences import (
     running_product_sets,
 )
 
-from oracles import brute_eb, brute_is_free
+from oracles import brute_davenport, brute_eb, brute_is_free
 
 
 def test_eb_examples():
@@ -92,6 +93,44 @@ def test_eb_undecided_at_tiny_budget():
     lo, hi = r.bounds
     assert lo <= hi
     assert hi == 91 - 4 + 1  # strict-growth ceiling for two prime factors
+
+
+# n = 11 is left out: brute_eb(11) is out of reach
+BRACKET_N = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+
+
+@pytest.mark.parametrize("max_states", (1, 4, 16, 64))
+def test_tiny_budget_brackets_contain_brute_values(monkeypatch, max_states):
+    budget = SearchBudget(max_states=max_states)
+    for n in BRACKET_N:
+        monkeypatch.setattr(dav_mod, "_cache", {})
+        try:
+            assert davenport_exact(n, budget).value == brute_davenport(n)
+        except UndecidedError as exc:
+            lo, hi = exc.bounds
+            assert lo <= brute_davenport(n) <= hi
+        monkeypatch.setattr(dav_mod, "_cache", {})
+        r = eb_exact(n, budget)
+        if r.status == STATUS_UNDECIDED:
+            lo, hi = r.bounds
+            assert lo <= brute_eb(n) <= hi
+        else:
+            assert r.value == brute_eb(n)
+
+
+@pytest.mark.parametrize("n, max_states", ((8, 16), (10, 16), (12, 32)))
+def test_undecided_bracket_uses_lengths_the_search_proved(monkeypatch, n, max_states):
+    # With the Davenport floor weakened to 1, the bracket's low end can
+    # only come from the free lengths the I(n) search proved before its
+    # budget ran out.
+    monkeypatch.setattr(
+        ebc_mod, "_davenport_or_bounds", lambda m, budget: (None, (1, m))
+    )
+    f = factorize(n)
+    r = eb_exact(n, SearchBudget(max_states=max_states))
+    assert r.status == STATUS_UNDECIDED
+    lo, hi = r.bounds
+    assert 1 + f.big_omega - f.omega < lo <= brute_eb(n) <= hi
 
 
 def test_construct_examples():
