@@ -25,7 +25,6 @@ from .arith import (
 from .davenport import DavenportResult, davenport_exact, davenport_formula_bound
 from .ebconstant import (
     EBResult,
-    ScanRow,
     TheoremReport,
     conjecture_scan,
     construct_extremal,
@@ -60,7 +59,6 @@ __all__ = [
     "InconsistencyError",
     "ProductSet",
     "ResidueSequence",
-    "ScanRow",
     "SearchBudget",
     "TheoremReport",
     "UndecidedError",

@@ -26,8 +26,10 @@ import os
 import random
 import sys
 import time
+from dataclasses import asdict
 
-from .arith import factorize, idempotents, is_idempotent
+from . import certify
+from .arith import factorize, idempotents
 from .davenport import davenport_exact, davenport_formula_bound
 from .ebconstant import (
     SCAN_UNDECIDED,
@@ -48,9 +50,8 @@ from .sequences import (
     is_idempotent_product_free,
     parse_sequence_literal,
     pi,
-    product_set,
 )
-from .unitgroup import totient, unit_group_shape, units
+from .unitgroup import totient, unit_group_shape
 
 _GREEN, _YELLOW, _RED, _RESET = "\x1b[32m", "\x1b[33m", "\x1b[31m", "\x1b[0m"
 
@@ -109,17 +110,13 @@ def _record(args, results: dict, t0: float) -> dict:
     return rec
 
 
-def _witness_list(seq) -> list[int] | None:
-    return list(seq) if seq is not None else None
-
-
-def _roundtrip_check(witness, n: int, verify) -> str:
-    """Serialize the witness, parse it back, re-verify through the
-    library; used by --check."""
+def _roundtrip_check(witness, n: int, check) -> str:
+    """Serialize the witness (a sequence or a tuple of terms), parse it
+    back and run its certify check on the parsed copy; used by --check."""
     T = parse_sequence_literal(format_sequence(witness), n)
-    if T != witness:
+    if T.as_tuple() != tuple(witness):
         raise InconsistencyError("witness does not round-trip")
-    verify(T)
+    check(T)
     return "ok"
 
 
@@ -158,23 +155,13 @@ def cmd_davenport(args) -> int:
         return 3 if args.strict else 0
     base.update({"value": res.value, "method": res.method, "status": STATUS_EXACT})
     if args.witness or args.format == "json":
-        base["witness"] = _witness_list(res.witness)
+        base["witness"] = list(res.witness)
     if args.check:
         base["check"] = _roundtrip_check(
-            res.witness, args.n, lambda T: _verify_davenport_witness(T, res.value)
+            res.witness, args.n, lambda T: certify.product_one_free(T, res.value)
         )
     _emit(args, _record(args, base, t0))
     return 0
-
-
-def _verify_davenport_witness(T: ResidueSequence, value: int) -> None:
-    us = set(units(T.n))
-    if any(a not in us for a in T):
-        raise InconsistencyError("witness contains a non-unit")
-    if len(T) != value - 1:
-        raise InconsistencyError("witness length mismatch")
-    if len(T) > 0 and 1 in product_set(T):
-        raise InconsistencyError("witness is not product-one free")
 
 
 def cmd_eb(args) -> int:
@@ -196,24 +183,17 @@ def cmd_eb(args) -> int:
     if res.bounds is not None:
         results["bounds"] = list(res.bounds)
     if res.witness is not None and (args.witness or args.format == "json"):
-        results["witness"] = _witness_list(res.witness)
+        results["witness"] = list(res.witness)
     if args.check and res.witness is not None:
         results["check"] = _roundtrip_check(
             res.witness,
             args.n,
-            lambda T: _verify_eb_witness(T, res.value),
+            lambda T: certify.idempotent_product_free(T, res.value),
         )
     _emit(args, _record(args, results, t0))
     if res.status == STATUS_UNDECIDED:
         return 3 if args.strict else 0
     return 0
-
-
-def _verify_eb_witness(T: ResidueSequence, value: int) -> None:
-    if len(T) != value - 1:
-        raise InconsistencyError("witness length mismatch")
-    if len(T) > 0 and not is_idempotent_product_free(T):
-        raise InconsistencyError("witness is not idempotent-product free")
 
 
 def cmd_construct(args) -> int:
@@ -227,22 +207,15 @@ def cmd_construct(args) -> int:
         "davenport": dav.value,
         "length": len(T),
         "lower_bound": len(T) + 1,
-        "witness": _witness_list(T),
+        "witness": list(T),
         "free": True,  # construct_extremal verifies before returning
     }
     if args.check:
         results["check"] = _roundtrip_check(
-            T,
-            args.n,
-            lambda W: _verify_free(W),
+            T, args.n, certify.idempotent_product_free
         )
     _emit(args, _record(args, results, t0))
     return 0
-
-
-def _verify_free(T: ResidueSequence) -> None:
-    if len(T) > 0 and not is_idempotent_product_free(T):
-        raise InconsistencyError("sequence is not idempotent-product free")
 
 
 def cmd_extract(args) -> int:
@@ -264,53 +237,57 @@ def cmd_extract(args) -> int:
         "n": args.n,
         "mode": mode,
         "input_length": len(T),
-        "witness": _witness_list(W),
+        "witness": list(W),
         "product": pi(W),
         "idempotent": True,  # extractor verifies before returning
     }
     if args.check:
-        results["check"] = _roundtrip_check(
-            W, args.n, lambda V: _verify_idempotent_product(V)
-        )
+        results["check"] = _roundtrip_check(W, args.n, certify.idempotent_product)
     _emit(args, _record(args, results, t0))
     return 0
 
 
-def _verify_idempotent_product(W: ResidueSequence) -> None:
-    if len(W) == 0 or not is_idempotent(pi(W), W.n):
-        raise InconsistencyError("extracted product is not idempotent")
+_VERIFY_FIELDS = (
+    "n",
+    "factorization",
+    "omega",
+    "big_omega",
+    "davenport",
+    "davenport_bounds",
+    "lower_bound",
+    "lower_bound_certified",
+    "eb_value",
+    "eb_bounds",
+    "equality_class",
+    "equality_holds",
+    "extension_spot_checks",
+    "witness",
+    "notes",
+)
+
+
+def _fields(rep, keys, **extra) -> dict:
+    """The named fields of a report: dataclasses.asdict plus extras."""
+    record = {**asdict(rep), **extra}
+    return {k: record[k] for k in keys}
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     rep = verify_theorem(args.n, _budget(args))
-    spot = _extension_spot_checks(rep, args.seed)
-    results = {
-        "n": rep.n,
-        "factorization": rep.factorization,
-        "omega": rep.omega,
-        "big_omega": rep.big_omega,
-        "davenport": rep.davenport,
-        "davenport_bounds": list(rep.davenport_bounds)
-        if rep.davenport_bounds
-        else None,
-        "lower_bound": rep.lower_bound,
-        "lower_bound_certified": rep.lower_bound_certified,
-        "eb_value": rep.eb_value,
-        "eb_bounds": list(rep.eb_bounds) if rep.eb_bounds else None,
-        "equality_class": rep.equality_class,
-        "equality_holds": rep.equality_holds,
-        "extension_spot_checks": spot,
-        "witness": _witness_list(rep.witness),
-        "notes": list(rep.notes),
-    }
+    results = _fields(
+        rep,
+        _VERIFY_FIELDS,
+        extension_spot_checks=_extension_spot_checks(rep, args.seed),
+        notes=[rep.note] if rep.note else [],
+    )
     if args.check and rep.witness is not None:
-        results["check"] = _roundtrip_check(rep.witness, args.n, _verify_free)
+        results["check"] = _roundtrip_check(
+            rep.witness, args.n, certify.idempotent_product_free
+        )
     _emit(args, _record(args, results, t0))
     undecided = rep.eb_value is None or rep.davenport is None
-    if undecided:
-        return 3 if args.strict else 0
-    return 0
+    return 3 if undecided and args.strict else 0
 
 
 def _extension_spot_checks(rep, seed: int) -> int:
@@ -326,7 +303,7 @@ def _extension_spot_checks(rep, seed: int) -> int:
     rng = random.Random(seed)
     k = min(16, len(pool))
     for a in rng.sample(pool, k):
-        extended = rep.witness.extended(a)
+        extended = ResidueSequence(n, rep.witness + (a,))
         if is_idempotent_product_free(extended, E):
             raise InconsistencyError(
                 f"witness for n={n} extends by {a} and stays free"
@@ -350,54 +327,37 @@ _SCAN_FIELDS = [
 ]
 
 
-def _row_dict(row, as_json: bool) -> dict:
-    def bounds(b):
-        if b is None:
-            return None if as_json else ""
-        return list(b) if as_json else f"{b[0]}..{b[1]}"
-
-    witness = (
-        (list(row.witness) if as_json else ",".join(map(str, row.witness)))
-        if row.witness is not None
-        else (None if as_json else "")
-    )
-    return {
-        "n": row.n,
-        "factorization": row.factorization,
-        "omega": row.omega,
-        "big_omega": row.big_omega,
-        "davenport": row.davenport if as_json else _fmt(row.davenport),
-        "davenport_bounds": bounds(row.davenport_bounds),
-        "lower_bound": row.lower_bound if as_json else _fmt(row.lower_bound),
-        "eb_value": row.eb_value if as_json else _fmt(row.eb_value),
-        "eb_bounds": bounds(row.eb_bounds),
-        "status": row.status,
-        "witness": witness,
-        "note": row.note,
-    }
+def _cell(key: str, v) -> str:
+    """CSV/table cell: bounds as lo..hi, witness comma-joined; a missing
+    value is empty for bounds and witness, "-" elsewhere."""
+    if v is None:
+        return "" if key.endswith("_bounds") or key == "witness" else "-"
+    if key.endswith("_bounds"):
+        return f"{v[0]}..{v[1]}"
+    return ",".join(map(str, v)) if key == "witness" else str(v)
 
 
 def cmd_scan(args) -> int:
-    budget = _budget(args)
-    rows_iter = conjecture_scan(args.n_lo, args.n_hi, budget, jobs=args.jobs)
-    any_undecided = False
+    rows_iter = conjecture_scan(args.n_lo, args.n_hi, _budget(args), jobs=args.jobs)
     if args.check:
         rows_iter = _checked_rows(rows_iter)
+    statuses: list[str] = []
+
+    def records():
+        for r in rows_iter:
+            statuses.append(r.status)
+            yield _fields(r, _SCAN_FIELDS)
 
     if args.format == "json" and not args.stream:
-        rows = list(rows_iter)
-        any_undecided = any(r.status == SCAN_UNDECIDED for r in rows)
-        print(json.dumps([_row_dict(r, True) for r in rows], indent=2))
+        print(json.dumps(list(records()), indent=2))
     elif args.format == "json":  # NDJSON
-        for r in rows_iter:
-            any_undecided |= r.status == SCAN_UNDECIDED
-            print(json.dumps(_row_dict(r, True)), flush=True)
+        for d in records():
+            print(json.dumps(d), flush=True)
     elif args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=_SCAN_FIELDS)
         writer.writeheader()
-        for r in rows_iter:
-            any_undecided |= r.status == SCAN_UNDECIDED
-            writer.writerow(_row_dict(r, False))
+        for d in records():
+            writer.writerow({k: _cell(k, v) for k, v in d.items()})
             if args.stream:
                 sys.stdout.flush()
     else:
@@ -417,27 +377,22 @@ def cmd_scan(args) -> int:
             "note",
         ]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-        for r in rows_iter:
-            any_undecided |= r.status == SCAN_UNDECIDED
-            d = _row_dict(r, False)
-            cells = [str(d[k]) for k in _SCAN_FIELDS]
+        for d in records():
             padded = []
-            for c, w, k in zip(cells, widths, _SCAN_FIELDS):
+            for (k, v), w in zip(d.items(), widths):
+                c = _cell(k, v)
                 shown = _paint(c) if k == "status" else c
                 padded.append(shown + " " * max(0, w - len(c)))
             print("  ".join(padded).rstrip())
             if args.stream:
                 sys.stdout.flush()
-    return 3 if any_undecided and args.strict else 0
+    return 3 if SCAN_UNDECIDED in statuses and args.strict else 0
 
 
 def _checked_rows(rows):
     for r in rows:
         if r.witness is not None:
-            T = parse_sequence_literal(
-                ",".join(map(str, r.witness)), r.n
-            )
-            _verify_free(T)
+            _roundtrip_check(r.witness, r.n, certify.idempotent_product_free)
         yield r
 
 

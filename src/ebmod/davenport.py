@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import certify
 from .arith import factorize
 from .errors import BudgetExceeded, InconsistencyError, UndecidedError
 from .search import FreeSearch, SearchBudget
-from .sequences import ResidueSequence, product_set
+from .sequences import ResidueSequence
 from .unitgroup import GroupShape, totient, unit_group_shape, units
 
 DEFAULT_BUDGET = SearchBudget()
@@ -63,8 +64,7 @@ def davenport_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> DavenportR
     shape = unit_group_shape(f)
     formula = davenport_formula_bound(shape)
     phi = totient(f)
-    us = units(n)
-    candidates = [u for u in us if u != 1]
+    candidates = [u for u in units(n) if u != 1]
     engine = None
     try:
         engine = FreeSearch(
@@ -84,28 +84,14 @@ def davenport_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> DavenportR
             f"in [{lo}, {hi}] ({exc})",
             bounds=(lo, hi),
         ) from exc
-    terms = engine.witness(free_len)
-    witness = ResidueSequence(n, terms)
-    _check_result(n, free_len + 1, witness, formula, phi, us)
-    method = "formula-cross-checked" if free_len + 1 == formula else "exhaustive"
-    result = DavenportResult(n=n, value=free_len + 1, witness=witness, method=method)
-    _cache[n] = result
-    return result
-
-
-def _check_result(n, value, witness, formula, phi, us):
-    """Independent re-verification of a claimed exact result; failures
-    mean an engine bug, never bad input."""
-    unit_set = set(us)
-    if any(a not in unit_set for a in witness):
-        raise InconsistencyError(f"witness for n={n} contains a non-unit")
-    if len(witness) != value - 1:
-        raise InconsistencyError(
-            f"witness length {len(witness)} != value {value} - 1 for n={n}"
-        )
-    if len(witness) > 0 and 1 in product_set(witness):
-        raise InconsistencyError(f"witness for n={n} is not product-one free")
+    value = free_len + 1
+    witness = ResidueSequence(n, engine.witness(free_len))
+    certify.product_one_free(witness, value)
     if not formula <= value <= phi:
         raise InconsistencyError(
             f"Davenport value {value} for n={n} outside [{formula}, {phi}]"
         )
+    method = "formula-cross-checked" if value == formula else "exhaustive"
+    result = DavenportResult(n=n, value=value, witness=witness, method=method)
+    _cache[n] = result
+    return result

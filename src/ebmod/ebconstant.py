@@ -1,5 +1,5 @@
 """Exact idempotent-product constants, extremal constructions,
-constructive witness extractors, and the equality scanner.
+constructive witness extractors, and the per-modulus theorem analysis.
 
 I(n) is the least length forcing every residue sequence mod n to
 contain a nonempty subsequence whose product is idempotent.  Everything
@@ -9,27 +9,24 @@ here revolves around the identity candidate
 
 which is always a floor for I(n) (certified constructively by
 construct_extremal) and provably equals I(n) when n is a prime power or
-squarefree.  For other n equality is exactly what conjecture_scan
-gathers evidence about: the scanner never asserts it, it reports
-certified exact values, certified brackets, or an explicit
-counterexample witness.
+squarefree.  verify_theorem analyses one n into a TheoremReport, and
+conjecture_scan maps it over a range.  Outside the proved classes the
+report never asserts equality: it carries certified exact values,
+certified brackets, or an explicit counterexample witness.  Every
+witness passes its ebmod.certify check before it is returned.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
-from .arith import Factorization, factorize, idempotents, is_idempotent, lift_to_unit
+from . import certify
+from .arith import Factorization, factorize, idempotents, lift_to_unit
 from .davenport import DEFAULT_BUDGET, davenport_exact
 from .errors import BudgetExceeded, DomainError, InconsistencyError, UndecidedError
 from .search import FreeSearch, SearchBudget
-from .sequences import (
-    ResidueSequence,
-    _min_product_one_pick,
-    find_product_one_subsequence,
-    is_idempotent_product_free,
-    pi,
-)
+from .sequences import ResidueSequence, _min_product_one_pick, find_product_one_subsequence
 
 STATUS_EXACT = "exact"
 STATUS_UNDECIDED = "undecided-at-budget"
@@ -87,10 +84,8 @@ def eb_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> EBResult:
     cap = _structure_cap(f)
     gap = f.big_omega - f.omega
     dav, dav_bounds = _davenport_or_bounds(n, budget)
-    if dav is not None:
-        lower = dav.value + gap
-    else:
-        lower = dav_bounds[0] + gap  # still a certified floor for I
+    lower_bound = dav.value + gap if dav is not None else None
+    lower = lower_bound if dav is not None else dav_bounds[0] + gap  # a floor for I
     candidates = [a for a in range(n) if a not in E]
     engine = None
     try:
@@ -108,44 +103,28 @@ def eb_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> EBResult:
             n=n,
             value=None,
             witness=None,
-            lower_bound=dav.value + gap if dav is not None else None,
+            lower_bound=lower_bound,
             status=STATUS_UNDECIDED,
             bounds=(max(lower, proven + 1), cap + 1),
         )
     value = free_len + 1
     witness = ResidueSequence(n, engine.witness(free_len))
-    _check_eb_result(f, value, witness, lower, cap, E, exact_dav=dav is not None)
+    certify.idempotent_product_free(witness, value, E)
+    if not lower <= value <= cap + 1:
+        raise InconsistencyError(
+            f"I({n}) = {value} outside [{lower}, {cap + 1}] (floor, growth ceiling)"
+        )
+    if dav is not None and _equality_class(f) != "none" and value != lower:
+        raise InconsistencyError(
+            f"I({n}) = {value} != {lower} in a proved-equality case"
+        )
     return EBResult(
         n=n,
         value=value,
         witness=witness,
-        lower_bound=dav.value + gap if dav is not None else None,
+        lower_bound=lower_bound,
         status=STATUS_EXACT,
     )
-
-
-def _check_eb_result(f, value, witness, lower, cap, E, exact_dav):
-    """Re-verify an exact I(n) against everything provable."""
-    n = f.n
-    if len(witness) != value - 1:
-        raise InconsistencyError(
-            f"witness length {len(witness)} != value {value} - 1 for n={n}"
-        )
-    if len(witness) > 0 and not is_idempotent_product_free(witness, E):
-        raise InconsistencyError(f"witness for n={n} hits an idempotent product")
-    if value < lower:
-        raise InconsistencyError(
-            f"I({n}) = {value} below certified lower bound {lower}"
-        )
-    if value > cap + 1:
-        raise InconsistencyError(
-            f"I({n}) = {value} above strict-growth ceiling {cap + 1}"
-        )
-    equality_proved = f.omega == 1 or f.is_squarefree
-    if exact_dav and equality_proved and value != lower:
-        raise InconsistencyError(
-            f"I({n}) = {value} != {lower} in a proved-equality case"
-        )
 
 
 def construct_extremal(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> ResidueSequence:
@@ -162,15 +141,7 @@ def construct_extremal(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Residue
     for p, k in f.factors:
         terms.extend([p % n] * (k - 1))
     T = ResidueSequence(n, terms)
-    expected = dav.value + f.big_omega - f.omega - 1
-    if len(T) != expected:
-        raise InconsistencyError(
-            f"extremal construction for n={n} has length {len(T)} != {expected}"
-        )
-    if len(T) > 0 and not is_idempotent_product_free(T):
-        raise InconsistencyError(
-            f"extremal construction for n={n} is not idempotent-product free"
-        )
+    certify.idempotent_product_free(T, dav.value + f.big_omega - f.omega)
     return T
 
 
@@ -214,7 +185,7 @@ def extract_witness_prime_power(
             raise InconsistencyError(
                 f"no product-one subsequence in {len(t2)} >= D unit terms mod {n}"
             )
-    _check_extracted(W, n)
+    certify.idempotent_product(W)
     return W
 
 
@@ -242,24 +213,24 @@ def extract_witness_squarefree(
             f"no product-one sub-multiset among {len(T)} >= D lifted units mod {n}"
         )
     W = ResidueSequence(n, [orig for orig, _ in picked])
-    _check_extracted(W, n)
+    certify.idempotent_product(W)
     return W
-
-
-def _check_extracted(W: ResidueSequence, n: int) -> None:
-    if len(W) == 0:
-        raise InconsistencyError("extractor returned an empty sub-multiset")
-    if not is_idempotent(pi(W), n):
-        raise InconsistencyError(
-            f"extracted product {pi(W)} is not idempotent mod {n}"
-        )
 
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Outcome of the consistency checks for one n: the constructive
-    lower bound, exact values or brackets for both constants, and the
-    equality verdict where one is available."""
+    """Analysis of one n: both constants exact or bracketed, the floor
+    lower_bound = D + Omega - omega once D is decided, and a verdict.
+
+    lower_bound_certified says the extremal construction verified that
+    floor.  status: THEOREM_* rows carry the proved I(n) = lower_bound;
+    CONJECTURE_VERIFIED/COUNTEREXAMPLE an exhaustively decided I(n)
+    outside the proved classes; UNDECIDED brackets only.  witness is
+    the searched maximum free sequence when I(n) is decided by search,
+    else the extremal construction; a COUNTEREXAMPLE witness is free of
+    length >= lower_bound, refuting equality.  note names the search
+    that ran out of budget, if any.
+    """
 
     n: int
     factorization: str
@@ -273,8 +244,9 @@ class TheoremReport:
     eb_bounds: tuple[int, int] | None
     equality_class: str  # "prime-power" | "squarefree" | "none"
     equality_holds: bool | None
-    witness: ResidueSequence | None
-    notes: tuple[str, ...]
+    status: str
+    witness: tuple[int, ...] | None
+    note: str = ""
 
 
 def _equality_class(f: Factorization) -> str:
@@ -285,42 +257,48 @@ def _equality_class(f: Factorization) -> str:
     return "none"
 
 
+_THEOREM_STATUS = {
+    "prime-power": SCAN_THEOREM_PRIME_POWER,
+    "squarefree": SCAN_THEOREM_SQUAREFREE,
+}
+
+
 def verify_theorem(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> TheoremReport:
     """Check everything provable about n and report the rest honestly.
 
-    (a) The extremal construction must verify idempotent-product free
-    (the lower bound certificate).  (b) Whenever exact values are in
-    hand: I >= lower bound always, with equality for prime powers and
-    squarefree n.  Violations raise InconsistencyError — they would be
-    implementation bugs, not findings.  Undecided components are
-    reported as such, never guessed.
+    (a) When D is decided, the extremal construction must verify
+    idempotent-product free (the lower-bound certificate).  (b) In a
+    proved class I(n) = D + Omega - omega, so the theorem gives the value
+    even when the confirming search runs out, and eb_exact raises if a
+    decided search disagrees.  Violations raise InconsistencyError —
+    they would be implementation bugs, not findings.  Undecided
+    components are reported as such, never guessed.
     """
     f = factorize(n)
-    notes: list[str] = []
-    dav, dav_bounds = _davenport_or_bounds(n, budget)
-    gap = f.big_omega - f.omega
-    lower = dav.value + gap if dav is not None else None
-    certified = False
-    witness: ResidueSequence | None = None
-    if dav is not None:
-        witness = construct_extremal(n, budget)  # raises on any violation
-        certified = True
-    else:
-        notes.append("davenport undecided; lower-bound construction skipped")
-    eb = eb_exact(n, budget)
     equality_class = _equality_class(f)
-    equality: bool | None = None
-    if eb.value is not None:
-        if eb.witness is not None and len(eb.witness) > 0:
-            witness = eb.witness
-        if lower is not None:
-            equality = eb.value == lower
-            if equality_class != "none" and not equality:
-                raise InconsistencyError(
-                    f"proved equality fails at n={n}: I={eb.value}, bound={lower}"
-                )
+    dav, dav_bounds = _davenport_or_bounds(n, budget)
+    lower = construction = None
+    if dav is not None:
+        lower = dav.value + f.big_omega - f.omega
+        construction = construct_extremal(n, budget)  # raises on any violation
+    eb = eb_exact(n, budget)
+    eb_value, eb_bounds, note = eb.value, eb.bounds, ""
+    if equality_class != "none":
+        status = _THEOREM_STATUS[equality_class]
+        if dav is not None and eb.value is None:
+            eb_value, eb_bounds = lower, None  # proved equality
+            note = "search confirmation hit budget; value is theorem-exact"
+        elif dav is None and eb.value is not None:
+            note = "davenport undecided; value from direct search"
+        elif dav is None:
+            # the theorem pins I = D + gap, but neither side was decided
+            status, note = SCAN_UNDECIDED, "davenport undecided"
+    elif eb.value is not None and dav is not None:
+        status = SCAN_CONJECTURE_VERIFIED if eb.value == lower else SCAN_COUNTEREXAMPLE
     else:
-        notes.append(f"I({n}) undecided at budget: bounds {eb.bounds}")
+        status = SCAN_UNDECIDED
+        note = "davenport undecided" if dav is None else "eb search undecided"
+    witness = eb.witness if eb.witness is not None else construction
     return TheoremReport(
         n=n,
         factorization=f.summary(),
@@ -329,101 +307,17 @@ def verify_theorem(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> TheoremRepo
         davenport=dav.value if dav is not None else None,
         davenport_bounds=dav_bounds,
         lower_bound=lower,
-        lower_bound_certified=certified,
-        eb_value=eb.value,
-        eb_bounds=eb.bounds,
-        equality_class=equality_class,
-        equality_holds=equality,
-        witness=witness,
-        notes=tuple(notes),
-    )
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One scanner verdict.  For THEOREM_* rows eb_value is the proved
-    D + Omega - omega; CONJECTURE_VERIFIED/COUNTEREXAMPLE carry the
-    exhaustively decided value; UNDECIDED carries brackets only.
-    COUNTEREXAMPLE additionally certifies via witness: a free sequence
-    of length >= lower_bound refuting equality."""
-
-    n: int
-    factorization: str
-    omega: int
-    big_omega: int
-    davenport: int | None
-    davenport_bounds: tuple[int, int] | None
-    lower_bound: int | None
-    eb_value: int | None
-    eb_bounds: tuple[int, int] | None
-    status: str
-    witness: tuple[int, ...] | None
-    note: str = ""
-
-
-def _scan_one(n: int, budget: SearchBudget) -> ScanRow:
-    f = factorize(n)
-    gap = f.big_omega - f.omega
-    equality_class = _equality_class(f)
-    dav, dav_bounds = _davenport_or_bounds(n, budget)
-    lower = dav.value + gap if dav is not None else None
-    note = ""
-    witness: tuple[int, ...] | None = None
-    eb = eb_exact(n, budget)
-    if eb.witness is not None:
-        witness = eb.witness.as_tuple()
-    elif dav is not None:
-        witness = construct_extremal(n, budget).as_tuple()
-    if equality_class != "none":
-        status = (
-            SCAN_THEOREM_PRIME_POWER
-            if equality_class == "prime-power"
-            else SCAN_THEOREM_SQUAREFREE
-        )
-        if dav is not None:
-            eb_value = dav.value + gap  # proved equality
-            eb_bounds = None
-            if eb.value is None:
-                note = "search confirmation hit budget; value is theorem-exact"
-            elif eb.value != eb_value:
-                raise InconsistencyError(
-                    f"search I({n})={eb.value} contradicts theorem value {eb_value}"
-                )
-        elif eb.value is not None:
-            eb_value, eb_bounds = eb.value, None
-            note = "davenport undecided; value from direct search"
-        else:
-            # theorem pins I = D + gap, but neither side was decided
-            status = SCAN_UNDECIDED
-            note = "davenport undecided"
-            eb_value, eb_bounds = None, eb.bounds
-    elif eb.value is not None and dav is not None:
-        eb_value, eb_bounds = eb.value, None
-        status = (
-            SCAN_CONJECTURE_VERIFIED if eb.value == lower else SCAN_COUNTEREXAMPLE
-        )
-    else:
-        status = SCAN_UNDECIDED
-        eb_value, eb_bounds = eb.value, eb.bounds
-        note = "davenport undecided" if dav is None else "eb search undecided"
-    return ScanRow(
-        n=n,
-        factorization=f.summary(),
-        omega=f.omega,
-        big_omega=f.big_omega,
-        davenport=dav.value if dav is not None else None,
-        davenport_bounds=dav_bounds,
-        lower_bound=lower,
+        lower_bound_certified=construction is not None,
         eb_value=eb_value,
         eb_bounds=eb_bounds,
+        equality_class=equality_class,
+        equality_holds=(
+            eb_value == lower if eb_value is not None and lower is not None else None
+        ),
         status=status,
-        witness=witness,
+        witness=witness.as_tuple() if witness is not None else None,
         note=note,
     )
-
-
-def _scan_worker(args: tuple[int, SearchBudget]) -> ScanRow:
-    return _scan_one(*args)
 
 
 def conjecture_scan(
@@ -432,14 +326,13 @@ def conjecture_scan(
     budget: SearchBudget = DEFAULT_BUDGET,
     jobs: int = 1,
 ):
-    """Yield one ScanRow per n in [n_lo, n_hi], in ascending n order
-    regardless of worker count."""
+    """Yield one TheoremReport per n in [n_lo, n_hi], in ascending n
+    order regardless of worker count."""
     if n_lo < 2 or n_hi < n_lo:
         raise DomainError(f"bad scan range [{n_lo}, {n_hi}]")
     ns = range(n_lo, n_hi + 1)
     if jobs <= 1:
-        for n in ns:
-            yield _scan_one(n, budget)
+        yield from map(verify_theorem, ns, repeat(budget))
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_scan_worker, [(n, budget) for n in ns], chunksize=1)
+        yield from pool.map(verify_theorem, ns, repeat(budget), chunksize=1)

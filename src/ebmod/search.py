@@ -105,11 +105,18 @@ class FreeSearch:
             raise BudgetExceeded(
                 f"candidate image tables for n={n} need {table_cells} cells"
             )
+        # Recursion depth tracks extension length, bounded by cap; the
+        # interpreter's limit is read, never raised.  Both callers pass
+        # cap = k < n candidates, and the table guard above forces
+        # k * ceil(n/8) <= 32768, so cap < 512 and the default limit of
+        # 1000 never trips this.
+        if cap + 200 > sys.getrecursionlimit():
+            raise BudgetExceeded(
+                f"search depth {cap} for n={n} exceeds the recursion limit"
+            )
         self._selfbit = [1 << a for a in self.candidates]
         self._bad = [self._forbidden_preimage(a) for a in self.candidates]
         self._tables = [self._build_table(a) for a in self.candidates]
-        # recursion depth tracks extension length, bounded by cap
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), cap + 200))
 
     def _forbidden_preimage(self, a: int) -> int:
         """Mask of the residues s with s*a mod n forbidden."""

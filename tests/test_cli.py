@@ -3,8 +3,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import replace
 
+import pytest
+
+import ebmod.cli as cli
 from ebmod.cli import main
+from ebmod.ebconstant import conjecture_scan, verify_theorem
+from ebmod.search import SearchBudget
+from ebmod.sequences import ResidueSequence
 
 
 def run_cli(capsys, *argv):
@@ -199,3 +206,77 @@ def test_parse_error_messages(capsys):
     code, _, err = run_cli(capsys, "extract", "6", "--seq", "2,x")
     assert code == 2
     assert "bad sequence term" in err
+
+
+def test_verify_and_scan_agree_when_the_confirming_search_runs_out(capsys):
+    """n = 46 = 2*23 is squarefree, so the theorem gives I(46) = D = 22
+    even when the I(n) search that would confirm it hits its budget."""
+    budget = SearchBudget(max_states=20000)
+    rep = verify_theorem(46, budget)
+    assert (rep.eb_value, rep.eb_bounds, rep.equality_holds) == (22, None, True)
+    assert rep.note == "search confirmation hit budget; value is theorem-exact"
+    assert list(conjecture_scan(46, 46, budget)) == [rep]
+    code, out, _ = run_cli(
+        capsys, "verify", "46", "--max-states", "20000", "--strict", "--format", "json"
+    )
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert (res["eb_value"], res["eb_bounds"], res["equality_holds"]) == (22, None, True)
+    assert res["notes"] == [rep.note]
+
+
+def _one_term_changed(seq, old: int, new: int) -> ResidueSequence:
+    terms = list(seq)
+    terms[terms.index(old)] = new
+    return ResidueSequence(seq.n, terms)
+
+
+@pytest.mark.parametrize(
+    "argv, target, corrupt, message",
+    [
+        (
+            ["davenport", "12"],
+            "davenport_exact",
+            lambda r: replace(r, witness=_one_term_changed(r.witness, 7, 5)),
+            "not product-one free",
+        ),
+        (
+            ["eb", "12"],
+            "eb_exact",
+            lambda r: replace(r, witness=_one_term_changed(r.witness, 5, 4)),
+            "not idempotent-product free",
+        ),
+        (
+            ["construct", "12"],
+            "construct_extremal",
+            lambda T: _one_term_changed(T, 7, 9),
+            "not idempotent-product free",
+        ),
+        (
+            ["extract", "4", "--seq", "2,2,3"],
+            "extract_witness_prime_power",
+            lambda W: _one_term_changed(W, 2, 3),
+            "not idempotent",
+        ),
+        (
+            ["verify", "12"],
+            "verify_theorem",
+            lambda rep: replace(rep, witness=(2, 3, 4)),
+            "not idempotent-product free",
+        ),
+        (
+            ["scan", "--from", "12", "--to", "12"],
+            "conjecture_scan",
+            lambda rows: (replace(r, witness=(2, 3, 4)) for r in rows),
+            "not idempotent-product free",
+        ),
+    ],
+)
+def test_check_rejects_a_witness_with_one_term_changed(
+    capsys, monkeypatch, argv, target, corrupt, message
+):
+    real = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda *a, **k: corrupt(real(*a, **k)))
+    code, _, err = run_cli(capsys, *argv, "--check")
+    assert code == 4
+    assert "internal inconsistency" in err and message in err

@@ -1,0 +1,68 @@
+"""Byte-for-byte CLI outputs against files under tests/golden/.
+
+Timing is the only run-dependent output, so the `"timing_seconds"` JSON
+line and the `time` line of a table are dropped before comparing.  Runs
+at a reduced state budget pop the cached Davenport value first, so the
+budget really binds.
+
+Regenerate with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import ebmod.davenport as dav_mod
+from ebmod.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+_TIMING = re.compile(r'^(\s*"timing_seconds": .*|time\s+[0-9.]+s)$')
+
+CASES = {
+    "scan-2-24.table": ["scan", "--from", "2", "--to", "24"],
+    "scan-2-24.json": ["scan", "--from", "2", "--to", "24", "--format", "json"],
+    "scan-2-24.csv": ["scan", "--from", "2", "--to", "24", "--format", "csv"],
+    "scan-2-24.ndjson": [
+        "scan", "--from", "2", "--to", "24", "--format", "json", "--stream"
+    ],
+    "scan-91-500.json": [
+        "scan", "--from", "91", "--to", "91", "--max-states", "500", "--format", "json"
+    ],
+}
+for _n in (9, 12, 30, 36):
+    CASES[f"verify-{_n}.table"] = ["verify", str(_n)]
+    CASES[f"verify-{_n}.json"] = ["verify", str(_n), "--format", "json"]
+CASES["verify-91-500.table"] = ["verify", "91", "--max-states", "500"]
+CASES["verify-91-500.json"] = ["verify", "91", "--max-states", "500", "--format", "json"]
+
+
+def render(argv: list[str]) -> str:
+    """Exit code and stdout of one in-process CLI run, timing lines dropped."""
+    if "--max-states" in argv:
+        for a in argv:
+            if a.isdigit():
+                dav_mod._cache.pop(int(a), None)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    lines = buf.getvalue().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not _TIMING.match(line.rstrip("\r\n")))
+    return f"exit {code}\n{kept}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    expected = (GOLDEN / name).read_bytes().decode()
+    assert render(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / name).write_bytes(render(argv).encode())
+        print(name, file=sys.stderr)

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from math import gcd
 
 import pytest
 
+from ebmod.errors import BudgetExceeded
 from ebmod.search import FreeSearch, SearchBudget
 
 from oracles import (
@@ -118,6 +120,23 @@ def test_forbidden_candidates_are_dropped():
     assert only_forbidden.candidates == []
     assert not only_forbidden.exists_free(1)
     assert only_forbidden.max_free_length() == 0
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    for n in SMALL_N:
+        eb_engine(n).max_free_length()
+        dav_engine(n).max_free_length()
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(BudgetExceeded):
+        FreeSearch(
+            n=12,
+            candidates=list(range(12)),
+            forbidden_mask=_mask((0, 1, 4, 9)),
+            cap=limit,
+            budget=SearchBudget(),
+        )
+    assert sys.getrecursionlimit() == limit
 
 
 def _random_free_sequences(n, candidates, forbidden, rng, count, max_len):
