@@ -83,33 +83,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, record: dict) -> None:
-    """One record: aligned key/value table or a JSON object."""
-    if args.format == "json":
-        print(json.dumps(record, indent=2))
-        return
-    results = record.get("results", {})
-    width = max((len(k) for k in results), default=0)
-    for k, v in results.items():
-        print(f"{k:<{width}}  {_fmt(v)}")
-    print(f"{'time':<{width}}  {record['timing_seconds']:.3f}s")
-
-
-def _record(args, results: dict, t0: float) -> dict:
-    rec = {
-        "command": args.cmd,
-        "inputs": {k: getattr(args, k) for k in ("n",) if hasattr(args, k)},
-        "results": results,
-        "timing_seconds": round(time.perf_counter() - t0, 6),
-    }
-    if hasattr(args, "max_states"):
-        rec["budget"] = {
-            "max_states": args.max_states,
-            "max_seconds": args.max_seconds,
-        }
-    return rec
-
-
 def _roundtrip_check(witness, n: int, check) -> str:
     """Serialize the witness (a sequence or a tuple of terms), parse it
     back and run its certify check on the parsed copy; used by --check."""
@@ -118,6 +91,41 @@ def _roundtrip_check(witness, n: int, check) -> str:
         raise InconsistencyError("witness does not round-trip")
     check(T)
     return "ok"
+
+
+def _finish(
+    args, results: dict, t0: float, witness=None, check=None, undecided=False
+) -> int:
+    """How every command but scan ends: the --check round trip of its
+    witness, if any; the record, as an aligned key/value table or a JSON
+    object; and the exit code, 3 for an undecided result under --strict."""
+    if args.check and witness is not None:
+        results["check"] = _roundtrip_check(witness, args.n, check)
+    record = {
+        "command": args.cmd,
+        "inputs": {"n": args.n},
+        "results": results,
+        "timing_seconds": round(time.perf_counter() - t0, 6),
+    }
+    if hasattr(args, "max_states"):
+        record["budget"] = {
+            "max_states": args.max_states,
+            "max_seconds": args.max_seconds,
+        }
+    if args.format == "json":
+        print(json.dumps(record, indent=2))
+    else:
+        width = max((len(k) for k in results), default=0)
+        for k, v in results.items():
+            print(f"{k:<{width}}  {_fmt(v)}")
+        print(f"{'time':<{width}}  {record['timing_seconds']:.3f}s")
+    return 3 if undecided and args.strict else 0
+
+
+def _undecided(rep) -> bool:
+    """The --strict rule for verify and scan: a report is undecided
+    unless both of its constants are exact."""
+    return rep.davenport is None or rep.eb_value is None
 
 
 def cmd_idempotents(args) -> int:
@@ -131,8 +139,7 @@ def cmd_idempotents(args) -> int:
         "count": len(E),
         "members": list(E),
     }
-    _emit(args, _record(args, results, t0))
-    return 0
+    return _finish(args, results, t0)
 
 
 def cmd_davenport(args) -> int:
@@ -151,17 +158,13 @@ def cmd_davenport(args) -> int:
         base.update(
             {"value": None, "status": STATUS_UNDECIDED, "bounds": list(exc.bounds)}
         )
-        _emit(args, _record(args, base, t0))
-        return 3 if args.strict else 0
+        return _finish(args, base, t0, undecided=True)
     base.update({"value": res.value, "method": res.method, "status": STATUS_EXACT})
     if args.witness or args.format == "json":
         base["witness"] = list(res.witness)
-    if args.check:
-        base["check"] = _roundtrip_check(
-            res.witness, args.n, lambda T: certify.product_one_free(T, res.value)
-        )
-    _emit(args, _record(args, base, t0))
-    return 0
+    return _finish(
+        args, base, t0, res.witness, lambda T: certify.product_one_free(T, res.value)
+    )
 
 
 def cmd_eb(args) -> int:
@@ -173,9 +176,7 @@ def cmd_eb(args) -> int:
         "factorization": f.summary(),
         "omega": f.omega,
         "big_omega": f.big_omega,
-        "davenport": res.lower_bound - (f.big_omega - f.omega)
-        if res.lower_bound is not None
-        else None,
+        "davenport": res.davenport,
         "lower_bound": res.lower_bound,
         "eb_value": res.value,
         "status": res.status,
@@ -184,16 +185,14 @@ def cmd_eb(args) -> int:
         results["bounds"] = list(res.bounds)
     if res.witness is not None and (args.witness or args.format == "json"):
         results["witness"] = list(res.witness)
-    if args.check and res.witness is not None:
-        results["check"] = _roundtrip_check(
-            res.witness,
-            args.n,
-            lambda T: certify.idempotent_product_free(T, res.value),
-        )
-    _emit(args, _record(args, results, t0))
-    if res.status == STATUS_UNDECIDED:
-        return 3 if args.strict else 0
-    return 0
+    return _finish(
+        args,
+        results,
+        t0,
+        res.witness,
+        lambda T: certify.idempotent_product_free(T, res.value),
+        undecided=res.status == STATUS_UNDECIDED,
+    )
 
 
 def cmd_construct(args) -> int:
@@ -210,12 +209,7 @@ def cmd_construct(args) -> int:
         "witness": list(T),
         "free": True,  # construct_extremal verifies before returning
     }
-    if args.check:
-        results["check"] = _roundtrip_check(
-            T, args.n, certify.idempotent_product_free
-        )
-    _emit(args, _record(args, results, t0))
-    return 0
+    return _finish(args, results, t0, T, certify.idempotent_product_free)
 
 
 def cmd_extract(args) -> int:
@@ -241,10 +235,7 @@ def cmd_extract(args) -> int:
         "product": pi(W),
         "idempotent": True,  # extractor verifies before returning
     }
-    if args.check:
-        results["check"] = _roundtrip_check(W, args.n, certify.idempotent_product)
-    _emit(args, _record(args, results, t0))
-    return 0
+    return _finish(args, results, t0, W, certify.idempotent_product)
 
 
 _VERIFY_FIELDS = (
@@ -281,13 +272,14 @@ def cmd_verify(args) -> int:
         extension_spot_checks=_extension_spot_checks(rep, args.seed),
         notes=[rep.note] if rep.note else [],
     )
-    if args.check and rep.witness is not None:
-        results["check"] = _roundtrip_check(
-            rep.witness, args.n, certify.idempotent_product_free
-        )
-    _emit(args, _record(args, results, t0))
-    undecided = rep.eb_value is None or rep.davenport is None
-    return 3 if undecided and args.strict else 0
+    return _finish(
+        args,
+        results,
+        t0,
+        rep.witness,
+        certify.idempotent_product_free,
+        undecided=_undecided(rep),
+    )
 
 
 def _extension_spot_checks(rep, seed: int) -> int:
@@ -298,8 +290,6 @@ def _extension_spot_checks(rep, seed: int) -> int:
     n = rep.n
     E = idempotents(n)
     pool = [a for a in range(n) if a not in E]
-    if not pool:
-        return 0
     rng = random.Random(seed)
     k = min(16, len(pool))
     for a in rng.sample(pool, k):
@@ -311,20 +301,22 @@ def _extension_spot_checks(rep, seed: int) -> int:
     return k
 
 
-_SCAN_FIELDS = [
-    "n",
-    "factorization",
-    "omega",
-    "big_omega",
-    "davenport",
-    "davenport_bounds",
-    "lower_bound",
-    "eb_value",
-    "eb_bounds",
-    "status",
-    "witness",
-    "note",
-]
+# (TheoremReport field, table header, table width) of each scan column
+_SCAN_COLUMNS = (
+    ("n", "n", 4),
+    ("factorization", "factors", 14),
+    ("omega", "omega", 5),
+    ("big_omega", "Omega", 5),
+    ("davenport", "davenport", 9),
+    ("davenport_bounds", "dav_bounds", 12),
+    ("lower_bound", "lower_bnd", 11),
+    ("eb_value", "eb_value", 8),
+    ("eb_bounds", "eb_bounds", 10),
+    ("status", "status", 22),
+    ("witness", "witness", 28),
+    ("note", "note", 0),
+)
+_SCAN_FIELDS = [field for field, _, _ in _SCAN_COLUMNS]
 
 
 def _cell(key: str, v) -> str:
@@ -338,14 +330,15 @@ def _cell(key: str, v) -> str:
 
 
 def cmd_scan(args) -> int:
-    rows_iter = conjecture_scan(args.n_lo, args.n_hi, _budget(args), jobs=args.jobs)
-    if args.check:
-        rows_iter = _checked_rows(rows_iter)
-    statuses: list[str] = []
+    rows = conjecture_scan(args.n_lo, args.n_hi, _budget(args), jobs=args.jobs)
+    undecided = False
 
     def records():
-        for r in rows_iter:
-            statuses.append(r.status)
+        nonlocal undecided
+        for r in rows:
+            if args.check and r.witness is not None:
+                _roundtrip_check(r.witness, r.n, certify.idempotent_product_free)
+            undecided = undecided or _undecided(r)
             yield _fields(r, _SCAN_FIELDS)
 
     if args.format == "json" and not args.stream:
@@ -361,39 +354,17 @@ def cmd_scan(args) -> int:
             if args.stream:
                 sys.stdout.flush()
     else:
-        widths = [4, 14, 5, 5, 9, 12, 11, 8, 10, 22, 28, 0]
-        header = [
-            "n",
-            "factors",
-            "omega",
-            "Omega",
-            "davenport",
-            "dav_bounds",
-            "lower_bnd",
-            "eb_value",
-            "eb_bounds",
-            "status",
-            "witness",
-            "note",
-        ]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+        print("  ".join(h.ljust(w) for _, h, w in _SCAN_COLUMNS).rstrip())
         for d in records():
             padded = []
-            for (k, v), w in zip(d.items(), widths):
-                c = _cell(k, v)
+            for k, _, w in _SCAN_COLUMNS:
+                c = _cell(k, d[k])
                 shown = _paint(c) if k == "status" else c
                 padded.append(shown + " " * max(0, w - len(c)))
             print("  ".join(padded).rstrip())
             if args.stream:
                 sys.stdout.flush()
-    return 3 if SCAN_UNDECIDED in statuses and args.strict else 0
-
-
-def _checked_rows(rows):
-    for r in rows:
-        if r.witness is not None:
-            _roundtrip_check(r.witness, r.n, certify.idempotent_product_free)
-        yield r
+    return 3 if undecided and args.strict else 0
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -441,19 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_idempotents)
 
-    p = sub.add_parser("davenport", help="Davenport constant of (Z/nZ)^x")
-    p.add_argument("n", type=int)
-    p.add_argument("--witness", action="store_true", help="print the free sequence")
-    _add_common_flags(p)
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_davenport)
-
-    p = sub.add_parser("eb", help="idempotent-product constant I(n)")
-    p.add_argument("n", type=int)
-    p.add_argument("--witness", action="store_true", help="print the free sequence")
-    _add_common_flags(p)
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_eb)
+    for name, help_text, func in (
+        ("davenport", "Davenport constant of (Z/nZ)^x", cmd_davenport),
+        ("eb", "idempotent-product constant I(n)", cmd_eb),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("n", type=int)
+        p.add_argument("--witness", action="store_true", help="print the free sequence")
+        _add_common_flags(p)
+        _add_budget_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "construct", help="extremal free sequence certifying the lower bound"

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from . import certify
 from .arith import factorize
-from .errors import BudgetExceeded, InconsistencyError, UndecidedError
-from .search import FreeSearch, SearchBudget
+from .errors import UndecidedError
+from .search import SearchBudget, longest_free
 from .sequences import ResidueSequence
 from .unitgroup import GroupShape, totient, unit_group_shape, units
 
@@ -64,34 +64,18 @@ def davenport_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> DavenportR
     shape = unit_group_shape(f)
     formula = davenport_formula_bound(shape)
     phi = totient(f)
-    candidates = [u for u in units(n) if u != 1]
-    engine = None
-    try:
-        engine = FreeSearch(
-            n=n,
-            candidates=candidates,
-            forbidden_mask=1 << 1,
-            cap=phi - 1,
-            budget=budget,
-        )
-        free_len = engine.max_free_length(seed=formula - 1)
-    except BudgetExceeded as exc:
-        proven = engine.best_true if engine is not None else 0
-        lo = max(formula, proven + 1)
-        hi = max(phi, lo)
+    # the search drops the forbidden unit 1 from the candidates
+    found = longest_free(n, units(n), 1 << 1, phi - 1, formula, budget)
+    if found.value is None:
+        lo, hi = found.bounds
         raise UndecidedError(
             f"Davenport constant for n={n} undecided at budget: "
-            f"in [{lo}, {hi}] ({exc})",
-            bounds=(lo, hi),
-        ) from exc
-    value = free_len + 1
-    witness = ResidueSequence(n, engine.witness(free_len))
-    certify.product_one_free(witness, value)
-    if not formula <= value <= phi:
-        raise InconsistencyError(
-            f"Davenport value {value} for n={n} outside [{formula}, {phi}]"
+            f"in [{lo}, {hi}] ({found.reason})",
+            bounds=found.bounds,
         )
-    method = "formula-cross-checked" if value == formula else "exhaustive"
-    result = DavenportResult(n=n, value=value, witness=witness, method=method)
+    witness = ResidueSequence(n, found.witness)
+    certify.product_one_free(witness, found.value)
+    method = "formula-cross-checked" if found.value == formula else "exhaustive"
+    result = DavenportResult(n=n, value=found.value, witness=witness, method=method)
     _cache[n] = result
     return result

@@ -24,8 +24,8 @@ from itertools import repeat
 from . import certify
 from .arith import Factorization, factorize, idempotents, lift_to_unit
 from .davenport import DEFAULT_BUDGET, davenport_exact
-from .errors import BudgetExceeded, DomainError, InconsistencyError, UndecidedError
-from .search import FreeSearch, SearchBudget
+from .errors import DomainError, InconsistencyError, UndecidedError
+from .search import SearchBudget, longest_free
 from .sequences import ResidueSequence, _min_product_one_pick, find_product_one_subsequence
 
 STATUS_EXACT = "exact"
@@ -45,8 +45,9 @@ class EBResult:
     Exact: value is set, witness is a maximum-length idempotent-product
     free sequence (length value - 1), bounds is None.  Undecided: value
     and witness are None and bounds carries the certified bracket.
-    lower_bound is D + Omega - omega when the Davenport side is decided,
-    else None.
+    davenport is D((Z/nZ)^x) when the Davenport side is decided, else
+    None and davenport_bounds carries its certified bracket; lower_bound
+    is D + Omega - omega when D is decided, else None.
     """
 
     n: int
@@ -55,6 +56,8 @@ class EBResult:
     lower_bound: int | None
     status: str
     bounds: tuple[int, int] | None = None
+    davenport: int | None = None
+    davenport_bounds: tuple[int, int] | None = None
 
 
 def _structure_cap(f: Factorization) -> int:
@@ -74,56 +77,36 @@ def _davenport_or_bounds(n: int, budget: SearchBudget):
 def eb_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> EBResult:
     """Exact I(n) by exhaustive search over canonical residue sequences.
 
-    Candidate terms exclude idempotent residues (any such term is
-    instantly non-free on its own).  The Davenport side is computed
-    first: its value seeds the probe schedule with the certified floor
-    D + Omega - omega - 1, and fills lower_bound on the result.
+    The search drops idempotent residues from the candidate terms (any
+    such term is instantly non-free on its own).  The Davenport side is
+    computed first: its value seeds the probe schedule with the
+    certified floor D + Omega - omega - 1, and it fills davenport (or
+    davenport_bounds) and lower_bound on the result, so a caller needs
+    no second Davenport call.
     """
     f = factorize(n)
     E = idempotents(n)
-    cap = _structure_cap(f)
-    gap = f.big_omega - f.omega
     dav, dav_bounds = _davenport_or_bounds(n, budget)
-    lower_bound = dav.value + gap if dav is not None else None
-    lower = lower_bound if dav is not None else dav_bounds[0] + gap  # a floor for I
-    candidates = [a for a in range(n) if a not in E]
-    engine = None
-    try:
-        engine = FreeSearch(
-            n=n,
-            candidates=candidates,
-            forbidden_mask=E.mask,
-            cap=cap,
-            budget=budget,
-        )
-        free_len = engine.max_free_length(seed=lower - 1)
-    except BudgetExceeded:
-        proven = engine.best_true if engine is not None else 0
-        return EBResult(
-            n=n,
-            value=None,
-            witness=None,
-            lower_bound=lower_bound,
-            status=STATUS_UNDECIDED,
-            bounds=(max(lower, proven + 1), cap + 1),
-        )
-    value = free_len + 1
-    witness = ResidueSequence(n, engine.witness(free_len))
-    certify.idempotent_product_free(witness, value, E)
-    if not lower <= value <= cap + 1:
-        raise InconsistencyError(
-            f"I({n}) = {value} outside [{lower}, {cap + 1}] (floor, growth ceiling)"
-        )
-    if dav is not None and _equality_class(f) != "none" and value != lower:
-        raise InconsistencyError(
-            f"I({n}) = {value} != {lower} in a proved-equality case"
-        )
+    D = dav.value if dav is not None else None
+    lower = (dav_bounds[0] if D is None else D) + f.big_omega - f.omega  # a floor for I
+    found = longest_free(n, range(n), E.mask, _structure_cap(f), lower, budget)
+    witness = None
+    if found.value is not None:
+        witness = ResidueSequence(n, found.witness)
+        certify.idempotent_product_free(witness, found.value, E)
+        if D is not None and _equality_class(f) != "none" and found.value != lower:
+            raise InconsistencyError(
+                f"I({n}) = {found.value} != {lower} in a proved-equality case"
+            )
     return EBResult(
         n=n,
-        value=value,
+        value=found.value,
         witness=witness,
-        lower_bound=lower_bound,
-        status=STATUS_EXACT,
+        lower_bound=lower if D is not None else None,
+        status=STATUS_EXACT if found.value is not None else STATUS_UNDECIDED,
+        bounds=found.bounds,
+        davenport=D,
+        davenport_bounds=dav_bounds,
     )
 
 
@@ -276,36 +259,35 @@ def verify_theorem(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> TheoremRepo
     """
     f = factorize(n)
     equality_class = _equality_class(f)
-    dav, dav_bounds = _davenport_or_bounds(n, budget)
-    lower = construction = None
-    if dav is not None:
-        lower = dav.value + f.big_omega - f.omega
+    eb = eb_exact(n, budget)  # decides D first and carries it
+    lower, D = eb.lower_bound, eb.davenport
+    construction = None
+    if D is not None:
         construction = construct_extremal(n, budget)  # raises on any violation
-    eb = eb_exact(n, budget)
     eb_value, eb_bounds, note = eb.value, eb.bounds, ""
     if equality_class != "none":
         status = _THEOREM_STATUS[equality_class]
-        if dav is not None and eb.value is None:
+        if D is not None and eb.value is None:
             eb_value, eb_bounds = lower, None  # proved equality
             note = "search confirmation hit budget; value is theorem-exact"
-        elif dav is None and eb.value is not None:
+        elif D is None and eb.value is not None:
             note = "davenport undecided; value from direct search"
-        elif dav is None:
+        elif D is None:
             # the theorem pins I = D + gap, but neither side was decided
             status, note = SCAN_UNDECIDED, "davenport undecided"
-    elif eb.value is not None and dav is not None:
+    elif eb.value is not None and D is not None:
         status = SCAN_CONJECTURE_VERIFIED if eb.value == lower else SCAN_COUNTEREXAMPLE
     else:
         status = SCAN_UNDECIDED
-        note = "davenport undecided" if dav is None else "eb search undecided"
+        note = "davenport undecided" if D is None else "eb search undecided"
     witness = eb.witness if eb.witness is not None else construction
     return TheoremReport(
         n=n,
         factorization=f.summary(),
         omega=f.omega,
         big_omega=f.big_omega,
-        davenport=dav.value if dav is not None else None,
-        davenport_bounds=dav_bounds,
+        davenport=D,
+        davenport_bounds=eb.davenport_bounds,
         lower_bound=lower,
         lower_bound_certified=construction is not None,
         eb_value=eb_value,

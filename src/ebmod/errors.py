@@ -4,8 +4,8 @@ DomainError      -> CLI exit 2 (input outside an operation's domain)
 UndecidedError   -> CLI exit 3 under --strict (budget ran out, no answer)
 InconsistencyError -> CLI exit 4 (two certified computations disagree; a
                       bug by construction, never a mathematical finding)
-BudgetExceeded   -> internal control flow inside searches; callers turn
-                      it into an explicit undecided result
+BudgetExceeded   -> internal control flow inside searches;
+                      search.longest_free turns it into a bracket
 """
 from __future__ import annotations
 

@@ -43,12 +43,17 @@ roughly exponential in the slack cap - r, so the engine first probes
 r = cap (slack 0, cheap, and instantly TRUE for cyclic unit groups),
 then gallops upward from a proven lower bound so that exactly one
 refutation — at the true answer + 1, the cheapest possible — is paid.
+
+longest_free is the one routine that builds and runs an engine; both
+davenport_exact and eb_exact take their value and witness, or the
+bracket the search proved when its budget ran out, from it.
 """
 from __future__ import annotations
 
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, InconsistencyError
 
@@ -77,7 +82,7 @@ class FreeSearch:
     def __init__(
         self,
         n: int,
-        candidates: list[int],
+        candidates: Iterable[int],
         forbidden_mask: int,
         cap: int,
         budget: SearchBudget,
@@ -270,3 +275,41 @@ class FreeSearch:
     @property
     def states_used(self) -> int:
         return self._states
+
+
+class Longest(NamedTuple):
+    """longest_free's outcome: value and witness, or bracket and reason."""
+
+    value: int | None
+    witness: tuple[int, ...] | None
+    bounds: tuple[int, int] | None
+    reason: str | None
+
+
+def longest_free(
+    n: int,
+    candidates: Iterable[int],
+    forbidden_mask: int,
+    cap: int,
+    floor: int,
+    budget: SearchBudget,
+) -> Longest:
+    """One more than the maximum length of a free sequence over
+    `candidates` avoiding `forbidden_mask`, with the lexicographically
+    smallest free sequence of that length.  floor is a proven lower
+    bound for the value and seeds the probes, and cap bounds every free
+    length; a budget that runs out leaves the bracket [lo, hi] with lo
+    past the longest length the search proved."""
+    engine = None
+    try:
+        engine = FreeSearch(n, candidates, forbidden_mask, cap, budget)
+        length = engine.max_free_length(seed=floor - 1)
+    except BudgetExceeded as exc:
+        lo = max(floor, (engine.best_true if engine is not None else 0) + 1)
+        return Longest(None, None, (lo, max(cap + 1, lo)), str(exc))
+    value = length + 1
+    if not floor <= value <= cap + 1:
+        raise InconsistencyError(
+            f"value {value} for n={n} outside [{floor}, {cap + 1}] (floor, ceiling)"
+        )
+    return Longest(value, engine.witness(length), None, None)

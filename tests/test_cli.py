@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import ebmod.cli as cli
+import ebmod.ebconstant as ebc_mod
 from ebmod.cli import main
 from ebmod.ebconstant import conjecture_scan, verify_theorem
 from ebmod.search import SearchBudget
@@ -134,6 +135,19 @@ def test_undecided_exit_codes(capsys):
         capsys, "davenport", "91", "--max-states", "500", "--strict"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv", (["verify", "6"], ["scan", "--from", "6", "--to", "6"])
+)
+def test_strict_treats_an_undecided_davenport_as_undecided(capsys, monkeypatch, argv):
+    # n = 6 is squarefree: with D undecided the I(n) search still decides,
+    # but the reported davenport is missing, so --strict exits 3
+    monkeypatch.setattr(ebc_mod, "_davenport_or_bounds", lambda m, b: (None, (1, m)))
+    rep = verify_theorem(6)
+    assert rep.davenport is None and rep.eb_value == 2
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--strict")[0] == 3
 
 
 def test_scan_json(capsys):

@@ -23,7 +23,7 @@ from ebmod.ebconstant import (
     verify_theorem,
 )
 from ebmod.errors import DomainError, UndecidedError
-from ebmod.search import SearchBudget
+from ebmod.search import FreeSearch, SearchBudget
 from ebmod.sequences import (
     ResidueSequence,
     is_idempotent_product_free,
@@ -131,6 +131,31 @@ def test_undecided_bracket_uses_lengths_the_search_proved(monkeypatch, n, max_st
     assert r.status == STATUS_UNDECIDED
     lo, hi = r.bounds
     assert 1 + f.big_omega - f.omega < lo <= brute_eb(n) <= hi
+
+
+def test_eb_result_carries_the_davenport_side():
+    r = eb_exact(12)
+    assert (r.davenport, r.davenport_bounds, r.lower_bound) == (3, None, 4)
+    dav_mod._cache.pop(91, None)
+    r = eb_exact(91, SearchBudget(max_states=500))
+    assert (r.davenport, r.davenport_bounds, r.lower_bound) == (None, (17, 72), None)
+
+
+def test_verify_theorem_runs_one_davenport_search(monkeypatch):
+    """An undecided D is not cached, so a second Davenport call would pay
+    its budget again; verify_theorem takes D from eb_exact instead."""
+    masks = []
+    real_init = FreeSearch.__init__
+
+    def counting_init(self, n, candidates, forbidden_mask, cap, budget):
+        masks.append(forbidden_mask)
+        real_init(self, n, candidates, forbidden_mask, cap, budget)
+
+    monkeypatch.setattr(FreeSearch, "__init__", counting_init)
+    dav_mod._cache.pop(91, None)
+    rep = verify_theorem(91, SearchBudget(max_states=500))
+    assert (rep.davenport, rep.davenport_bounds) == (None, (17, 72))
+    assert sorted(masks) == [1 << 1, idempotents(91).mask]
 
 
 def test_construct_examples():

@@ -39,6 +39,22 @@ for _n in (9, 12, 30, 36):
     CASES[f"verify-{_n}.json"] = ["verify", str(_n), "--format", "json"]
 CASES["verify-91-500.table"] = ["verify", "91", "--max-states", "500"]
 CASES["verify-91-500.json"] = ["verify", "91", "--max-states", "500", "--format", "json"]
+for _cmd in ("davenport", "eb"):
+    for _n in (5, 12):
+        CASES[f"{_cmd}-{_n}.table"] = [_cmd, str(_n), "--check"]
+        CASES[f"{_cmd}-{_n}.json"] = [_cmd, str(_n), "--format", "json", "--check"]
+        CASES[f"{_cmd}-{_n}-witness.table"] = [_cmd, str(_n), "--witness"]
+    CASES[f"{_cmd}-91-500.json"] = [
+        _cmd, "91", "--max-states", "500", "--format", "json"
+    ]
+for _name, _argv in (
+    ("construct-12", ["construct", "12", "--check"]),
+    ("idempotents-12", ["idempotents", "12"]),
+    ("extract-4", ["extract", "4", "--seq", "2,2,3", "--check"]),
+    ("extract-6", ["extract", "6", "--seq", "2,5", "--check"]),
+):
+    CASES[f"{_name}.table"] = _argv
+    CASES[f"{_name}.json"] = [*_argv, "--format", "json"]
 
 
 def render(argv: list[str]) -> str:
