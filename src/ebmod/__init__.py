@@ -33,7 +33,7 @@ from .ebconstant import (
     extract_witness_squarefree,
     verify_theorem,
 )
-from .errors import BudgetExceeded, DomainError, InconsistencyError, UndecidedError
+from .errors import DomainError, InconsistencyError, UndecidedError
 from .search import SearchBudget
 from .sequences import (
     ProductSet,
@@ -44,12 +44,11 @@ from .sequences import (
     product_set,
     running_product_sets,
 )
-from .unitgroup import GroupShape, element_order, totient, unit_group_shape, units
+from .unitgroup import GroupShape, totient, unit_group_shape, units
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded",
     "DavenportResult",
     "DomainError",
     "EBResult",
@@ -68,7 +67,6 @@ __all__ = [
     "davenport_exact",
     "davenport_formula_bound",
     "eb_exact",
-    "element_order",
     "extract_witness_prime_power",
     "extract_witness_squarefree",
     "factorize",

@@ -70,10 +70,6 @@ class Factorization:
         return sum(k for _, k in self.factors)
 
     @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    @property
     def is_prime_power(self) -> bool:
         return len(self.factors) == 1
 

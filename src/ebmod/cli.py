@@ -93,19 +93,18 @@ def _roundtrip_check(witness, n: int, check) -> str:
     return "ok"
 
 
-def _finish(
-    args, results: dict, t0: float, witness=None, check=None, undecided=False
-) -> int:
+def _finish(args, results: dict, witness=None, check=None, undecided=False) -> int:
     """How every command but scan ends: the --check round trip of its
-    witness, if any; the record, as an aligned key/value table or a JSON
-    object; and the exit code, 3 for an undecided result under --strict."""
+    witness, if any; the record, timed from the args.t0 main sets, as an
+    aligned key/value table or a JSON object; and the exit code, 3 for an
+    undecided result under --strict."""
     if args.check and witness is not None:
         results["check"] = _roundtrip_check(witness, args.n, check)
     record = {
         "command": args.cmd,
         "inputs": {"n": args.n},
         "results": results,
-        "timing_seconds": round(time.perf_counter() - t0, 6),
+        "timing_seconds": round(time.perf_counter() - args.t0, 6),
     }
     if hasattr(args, "max_states"):
         record["budget"] = {
@@ -129,7 +128,6 @@ def _undecided(rep) -> bool:
 
 
 def cmd_idempotents(args) -> int:
-    t0 = time.perf_counter()
     f = factorize(args.n)
     E = idempotents(args.n)
     results = {
@@ -139,11 +137,10 @@ def cmd_idempotents(args) -> int:
         "count": len(E),
         "members": list(E),
     }
-    return _finish(args, results, t0)
+    return _finish(args, results)
 
 
 def cmd_davenport(args) -> int:
-    t0 = time.perf_counter()
     f = factorize(args.n)
     shape = unit_group_shape(f)
     base = {
@@ -158,17 +155,16 @@ def cmd_davenport(args) -> int:
         base.update(
             {"value": None, "status": STATUS_UNDECIDED, "bounds": list(exc.bounds)}
         )
-        return _finish(args, base, t0, undecided=True)
+        return _finish(args, base, undecided=True)
     base.update({"value": res.value, "method": res.method, "status": STATUS_EXACT})
     if args.witness or args.format == "json":
         base["witness"] = list(res.witness)
     return _finish(
-        args, base, t0, res.witness, lambda T: certify.product_one_free(T, res.value)
+        args, base, res.witness, lambda T: certify.product_one_free(T, res.value)
     )
 
 
 def cmd_eb(args) -> int:
-    t0 = time.perf_counter()
     f = factorize(args.n)
     res = eb_exact(args.n, _budget(args))
     results = {
@@ -188,7 +184,6 @@ def cmd_eb(args) -> int:
     return _finish(
         args,
         results,
-        t0,
         res.witness,
         lambda T: certify.idempotent_product_free(T, res.value),
         undecided=res.status == STATUS_UNDECIDED,
@@ -196,7 +191,6 @@ def cmd_eb(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    t0 = time.perf_counter()
     f = factorize(args.n)
     T = construct_extremal(args.n, _budget(args))
     dav = davenport_exact(args.n, _budget(args))
@@ -209,11 +203,10 @@ def cmd_construct(args) -> int:
         "witness": list(T),
         "free": True,  # construct_extremal verifies before returning
     }
-    return _finish(args, results, t0, T, certify.idempotent_product_free)
+    return _finish(args, results, T, certify.idempotent_product_free)
 
 
 def cmd_extract(args) -> int:
-    t0 = time.perf_counter()
     f = factorize(args.n)
     T = parse_sequence_literal(args.seq, args.n, reduce=args.reduce)
     if f.is_prime_power:
@@ -235,7 +228,7 @@ def cmd_extract(args) -> int:
         "product": pi(W),
         "idempotent": True,  # extractor verifies before returning
     }
-    return _finish(args, results, t0, W, certify.idempotent_product)
+    return _finish(args, results, W, certify.idempotent_product)
 
 
 _VERIFY_FIELDS = (
@@ -264,7 +257,6 @@ def _fields(rep, keys, **extra) -> dict:
 
 
 def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
     rep = verify_theorem(args.n, _budget(args))
     results = _fields(
         rep,
@@ -275,7 +267,6 @@ def cmd_verify(args) -> int:
     return _finish(
         args,
         results,
-        t0,
         rep.witness,
         certify.idempotent_product_free,
         undecided=_undecided(rep),
@@ -480,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.t0 = time.perf_counter()
     try:
         return args.func(args)
     except DomainError as exc:

@@ -23,8 +23,6 @@ from .search import SearchBudget, longest_free
 from .sequences import ResidueSequence
 from .unitgroup import GroupShape, totient, unit_group_shape, units
 
-DEFAULT_BUDGET = SearchBudget()
-
 # decided values are budget-independent, so one cache serves all callers
 _cache: dict[int, "DavenportResult"] = {}
 
@@ -49,7 +47,7 @@ def davenport_formula_bound(shape: GroupShape) -> int:
     return 1 + sum(d - 1 for d in shape.invariant_factors)
 
 
-def davenport_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> DavenportResult:
+def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportResult:
     """Exact D((Z/nZ)^x) by exhaustive search over canonical unit
     sequences with product-set memoization.
 

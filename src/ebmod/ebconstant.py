@@ -23,7 +23,7 @@ from itertools import repeat
 
 from . import certify
 from .arith import Factorization, factorize, idempotents, lift_to_unit
-from .davenport import DEFAULT_BUDGET, davenport_exact
+from .davenport import davenport_exact
 from .errors import DomainError, InconsistencyError, UndecidedError
 from .search import SearchBudget, longest_free
 from .sequences import ResidueSequence, _min_product_one_pick, find_product_one_subsequence
@@ -74,7 +74,7 @@ def _davenport_or_bounds(n: int, budget: SearchBudget):
         return None, exc.bounds
 
 
-def eb_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> EBResult:
+def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
     """Exact I(n) by exhaustive search over canonical residue sequences.
 
     The search drops idempotent residues from the candidate terms (any
@@ -110,7 +110,7 @@ def eb_exact(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> EBResult:
     )
 
 
-def construct_extremal(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> ResidueSequence:
+def construct_extremal(n: int, budget: SearchBudget = SearchBudget()) -> ResidueSequence:
     """The extremal free sequence V . prod_i p_i^{k_i - 1}: a maximum
     product-one-free unit sequence V extended by each prime p_i repeated
     k_i - 1 times.  Its freeness certifies I(n) >= D + Omega - omega,
@@ -135,7 +135,7 @@ def _split_threshold_args(T: ResidueSequence, n: int):
 
 
 def extract_witness_prime_power(
-    T: ResidueSequence, n: int, budget: SearchBudget = DEFAULT_BUDGET
+    T: ResidueSequence, n: int, budget: SearchBudget = SearchBudget()
 ) -> ResidueSequence:
     """Constructive idempotent-product witness inside any sequence of
     threshold length D + k - 1 over Z_{p^k}.
@@ -173,7 +173,7 @@ def extract_witness_prime_power(
 
 
 def extract_witness_squarefree(
-    T: ResidueSequence, n: int, budget: SearchBudget = DEFAULT_BUDGET
+    T: ResidueSequence, n: int, budget: SearchBudget = SearchBudget()
 ) -> ResidueSequence:
     """Constructive idempotent-product witness inside any sequence of
     threshold length D over squarefree Z_n.
@@ -246,7 +246,7 @@ _THEOREM_STATUS = {
 }
 
 
-def verify_theorem(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> TheoremReport:
+def verify_theorem(n: int, budget: SearchBudget = SearchBudget()) -> TheoremReport:
     """Check everything provable about n and report the rest honestly.
 
     (a) When D is decided, the extremal construction must verify
@@ -305,16 +305,21 @@ def verify_theorem(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> TheoremRepo
 def conjecture_scan(
     n_lo: int,
     n_hi: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: SearchBudget = SearchBudget(),
     jobs: int = 1,
 ):
-    """Yield one TheoremReport per n in [n_lo, n_hi], in ascending n
-    order regardless of worker count."""
+    """Iterator of one TheoremReport per n in [n_lo, n_hi], in ascending
+    n order regardless of worker count.  The range is checked here, before
+    any row is requested, and no more workers start than there are rows."""
     if n_lo < 2 or n_hi < n_lo:
         raise DomainError(f"bad scan range [{n_lo}, {n_hi}]")
     ns = range(n_lo, n_hi + 1)
-    if jobs <= 1:
-        yield from map(verify_theorem, ns, repeat(budget))
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(ns))
+    if workers <= 1:
+        return map(verify_theorem, ns, repeat(budget))
+    return _pooled_scan(ns, budget, workers)
+
+
+def _pooled_scan(ns: range, budget: SearchBudget, workers: int):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(verify_theorem, ns, repeat(budget), chunksize=1)

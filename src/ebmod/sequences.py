@@ -27,51 +27,35 @@ from .errors import DomainError
 
 
 class ResidueSequence:
-    """Finite multiset of residues mod n; terms normalized to [0, n)."""
+    """Finite multiset of residues mod n, held as the sorted tuple of its
+    terms, each normalized to [0, n)."""
 
-    __slots__ = ("n", "_counts", "_len")
+    __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms=()):
         if n < 2:
             raise DomainError(f"modulus must be >= 2, got {n}")
-        counts: dict[int, int] = {}
-        for t in terms:
-            a = t % n
-            counts[a] = counts.get(a, 0) + 1
         self.n = n
-        self._counts = dict(sorted(counts.items()))
-        self._len = sum(counts.values())
-
-    @property
-    def counts(self) -> dict[int, int]:
-        return dict(self._counts)
-
-    def multiplicity(self, a: int) -> int:
-        return self._counts.get(a % self.n, 0)
+        self._terms = tuple(sorted(t % n for t in terms))
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def extended(self, *terms: int) -> "ResidueSequence":
-        return ResidueSequence(self.n, list(self) + list(terms))
+        return self._terms
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._terms)
 
     def __iter__(self):
-        for a, v in self._counts.items():
-            for _ in range(v):
-                yield a
+        return iter(self._terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ResidueSequence)
             and self.n == other.n
-            and self._counts == other._counts
+            and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(self._counts.items())))
+        return hash((self.n, self._terms))
 
     def __repr__(self) -> str:
         return f"ResidueSequence({self.n}, {self.as_tuple()})"
@@ -219,7 +203,7 @@ def find_product_one_subsequence(T: ResidueSequence):
     form.
     """
     n = T.n
-    for a in T._counts:
+    for a in T:
         if gcd(a, n) != 1:
             raise DomainError(f"term {a} is not coprime to {n}")
     pairs = [(a, a) for a in T]

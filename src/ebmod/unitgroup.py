@@ -34,8 +34,7 @@ def units(n: int) -> list[int]:
 @dataclass(frozen=True)
 class GroupShape:
     """Invariant-factor form d_1 | d_2 | ... | d_s of a finite abelian
-    group; empty for the trivial group.  The last factor is the group
-    exponent (the Carmichael function when the group is (Z/nZ)^x)."""
+    group; empty for the trivial group."""
 
     invariant_factors: tuple[int, ...]
 
@@ -45,10 +44,6 @@ class GroupShape:
         for d in self.invariant_factors:
             out *= d
         return out
-
-    @property
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     @property
     def rank(self) -> int:
@@ -95,19 +90,3 @@ def unit_group_shape(f: Factorization | int) -> GroupShape:
         )  # unreachable
     return shape
 
-
-def element_order(a: int, n: int) -> int:
-    """Least t >= 1 with a^t = 1 mod n; a must be a unit."""
-    if n < 2:
-        raise DomainError(f"modulus must be >= 2, got {n}")
-    a %= n
-    if gcd(a, n) != 1:
-        raise DomainError(f"{a} is not a unit mod {n}")
-    t = totient(factorize(n))
-    if t == 1:
-        return 1
-    o = t
-    for q, _ in factorize(t).factors:
-        while o % q == 0 and pow(a, o // q, n) == 1:
-            o //= q
-    return o

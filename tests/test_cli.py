@@ -216,6 +216,42 @@ def test_scan_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_scan_bad_range_prints_no_header(capsys, fmt):
+    code, out, err = run_cli(capsys, "scan", "--from", "5", "--to", "2", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "bad scan range" in err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps
+    in this process, so no worker is ever started."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def test_scan_starts_no_more_workers_than_rows(capsys, monkeypatch):
+    monkeypatch.setattr(ebc_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    code, out, _ = run_cli(capsys, "scan", "--from", "2", "--to", "4", "--jobs", "8")
+    assert code == 0 and out.count("THEOREM_PRIME_POWER") == 3
+    assert _RecordingPool.started == [3]
+    run_cli(capsys, "scan", "--from", "5", "--to", "5", "--jobs", "8")
+    assert _RecordingPool.started == [3]  # one row runs in this process
+
+
 def test_parse_error_messages(capsys):
     code, _, err = run_cli(capsys, "extract", "6", "--seq", "2,x")
     assert code == 2

@@ -25,9 +25,6 @@ def test_residue_sequence_normalizes_and_sorts():
     T = ResidueSequence(12, (7, 5, 19))
     assert T.as_tuple() == (5, 7, 7)  # 19 reduced to 7, canonical order
     assert len(T) == 3
-    assert T.multiplicity(7) == 2
-    assert T.multiplicity(19) == 2  # reduced before lookup
-    assert T.multiplicity(1) == 0
 
 
 def test_residue_sequence_equality_is_multiset_equality():
