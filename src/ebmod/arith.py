@@ -14,7 +14,8 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd
 
 from .errors import DomainError, InconsistencyError
 
@@ -145,15 +146,19 @@ def is_idempotent(a: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class IdempotentSet:
-    """All idempotents mod n: sorted members plus a width-n bit mask for
-    O(1) membership during search."""
+    """All idempotents mod n: sorted members, and the width-n bit mask
+    the search reads, built on first use (at n near MAX_N it would take
+    over 100 GB)."""
 
     n: int
     members: tuple[int, ...]
-    mask: int
+
+    @cached_property
+    def mask(self) -> int:
+        return sum(1 << e for e in self.members)
 
     def __contains__(self, a: int) -> bool:
-        return 0 <= a < self.n and (self.mask >> a) & 1 == 1
+        return a in self.members
 
     def __iter__(self):
         return iter(self.members)
@@ -173,10 +178,7 @@ def idempotents(n: int) -> IdempotentSet:
     ordered = tuple(sorted(members))
     if len(ordered) != 1 << fact.omega:
         raise InconsistencyError(f"idempotent count for {n} is off")  # unreachable
-    mask = 0
-    for e in ordered:
-        mask |= 1 << e
-    return IdempotentSet(n=n, members=ordered, mask=mask)
+    return IdempotentSet(n=n, members=ordered)
 
 
 def crt_combine(pairs) -> int:

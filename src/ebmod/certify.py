@@ -1,9 +1,9 @@
 """Witness certificates: one checking function per kind of witness.
 
-The library runs these before it returns a witness, and the CLI's
---check runs the same functions again on the witness it parsed back
-from its own output.  A failure raises InconsistencyError: a returned
-witness that does not verify is a bug, never a finding.
+The library runs these before it returns a witness, the CLI's --check
+runs them again on the witness it parsed back from its own output, and
+verify runs no_free_extension on its maximum witness.  A failure raises
+InconsistencyError: a witness that fails is a bug, never a finding.
 
 Only the witness itself is checked here.  Range and theorem checks
 (formula <= D <= phi, I(n) = D + Omega - omega in a proved class) stay
@@ -15,7 +15,9 @@ from math import gcd
 
 from .arith import IdempotentSet, is_idempotent
 from .errors import InconsistencyError
-from .sequences import ResidueSequence, is_idempotent_product_free, pi, product_set
+from .sequences import (
+    ResidueSequence, _closure_step, is_idempotent_product_free, pi, product_set
+)
 
 
 def _check_length(T: ResidueSequence, value: int) -> None:
@@ -46,6 +48,19 @@ def idempotent_product_free(
         raise InconsistencyError(
             f"witness for n={T.n} is not idempotent-product free"
         )
+
+
+def no_free_extension(T: ResidueSequence, E: IdempotentSet) -> int:
+    """T is maximal: appending any non-idempotent residue a puts an
+    idempotent into the product set.  Runs through the closure step, not
+    the search tables, so it checks the search independently.  Returns
+    the number of extensions checked, n - 2^omega."""
+    n = T.n
+    S = product_set(T).mask
+    for a in range(n):
+        if a not in E and not _closure_step(S, a, n) & E.mask:
+            raise InconsistencyError(f"witness for n={n} extends by {a} and stays free")
+    return n - len(E)
 
 
 def idempotent_product(W: ResidueSequence) -> None:

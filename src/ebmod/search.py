@@ -39,10 +39,11 @@ Key facts the engine leans on:
   probes and the witness reconstruction.
 
 Probing order exploits the cost asymmetry: refuting length r costs
-roughly exponential in the slack cap - r, so the engine first probes
-r = cap (slack 0, cheap, and instantly TRUE for cyclic unit groups),
-then gallops upward from a proven lower bound so that exactly one
-refutation — at the true answer + 1, the cheapest possible — is paid.
+roughly exponential in the slack cap - r, so the engine gallops upward
+from a proven lower bound and pays one refutation, at the true answer
++ 1 (the cheapest possible), or none when the answer is cap.  When the
+bound already equals cap (a cyclic unit group), one confirming probe is
+the whole search.
 
 longest_free is the one routine that builds and runs an engine; both
 davenport_exact and eb_exact take their value and witness, or the
@@ -77,7 +78,10 @@ class SearchBudget:
 
 class FreeSearch:
     """Maximum free-sequence length over `candidates` avoiding
-    `forbidden_mask`, with lexicographically-smallest witness."""
+    `forbidden_mask`, with lexicographically-smallest witness.  cap
+    bounds every free length, so also the number of usable candidates
+    (each is a one-term free sequence); the size guards read cap, before
+    the candidates are read."""
 
     def __init__(
         self,
@@ -88,12 +92,29 @@ class FreeSearch:
         budget: SearchBudget,
     ):
         self.n = n
-        # a forbidden term is never part of a free sequence
-        self.candidates = sorted(a for a in candidates if not forbidden_mask >> a & 1)
         self.forbidden = forbidden_mask
         self.cap = cap
         self.budget = budget
         self._nbytes = (n + 7) // 8
+        self.best_true = 0  # largest r with exists_free(r) proven
+        if cap >= 1 << _LO_SHIFT:
+            raise BudgetExceeded(f"state space for n={n} is out of reach")
+        table_cells = cap * self._nbytes * 256  # at least one table per candidate
+        if table_cells > 1 << 23:
+            raise BudgetExceeded(
+                f"candidate image tables for n={n} need {table_cells} cells"
+            )
+        # Recursion depth tracks extension length, bounded by cap; the
+        # interpreter's limit is read, never raised.  Both callers pass
+        # cap < n, and the table guard above forces cap * ceil(n/8) <=
+        # 32768, so cap < 512 and the default limit of 1000 never trips
+        # this.
+        if cap + 200 > sys.getrecursionlimit():
+            raise BudgetExceeded(
+                f"search depth {cap} for n={n} exceeds the recursion limit"
+            )
+        # a forbidden term is never part of a free sequence
+        self.candidates = sorted(a for a in candidates if not forbidden_mask >> a & 1)
         self._floor_shift = (len(self.candidates) + 1).bit_length()
         self._memo: dict[int, int] = {}
         self._states = 0
@@ -102,23 +123,6 @@ class FreeSearch:
             if budget.max_seconds is not None
             else None
         )
-        self.best_true = 0  # largest r with exists_free(r) proven
-        if cap >= 1 << _LO_SHIFT:
-            raise BudgetExceeded(f"state space for n={n} is out of reach")
-        table_cells = len(self.candidates) * self._nbytes * 256
-        if table_cells > 1 << 23:
-            raise BudgetExceeded(
-                f"candidate image tables for n={n} need {table_cells} cells"
-            )
-        # Recursion depth tracks extension length, bounded by cap; the
-        # interpreter's limit is read, never raised.  Both callers pass
-        # cap = k < n candidates, and the table guard above forces
-        # k * ceil(n/8) <= 32768, so cap < 512 and the default limit of
-        # 1000 never trips this.
-        if cap + 200 > sys.getrecursionlimit():
-            raise BudgetExceeded(
-                f"search depth {cap} for n={n} exceeds the recursion limit"
-            )
         self._selfbit = [1 << a for a in self.candidates]
         self._bad = [self._forbidden_preimage(a) for a in self.candidates]
         self._tables = [self._build_table(a) for a in self.candidates]
@@ -236,9 +240,7 @@ class FreeSearch:
         """
         if not self.candidates or self.cap <= 0:
             return 0
-        if self.exists_free(self.cap):
-            return self.cap
-        g = min(max(seed, 0), self.cap - 1)
+        g = min(max(seed, 0), self.cap)
         if g > 0 and not self.exists_free(g):
             raise InconsistencyError(
                 f"claimed lower bound {g} refuted for n={self.n}"

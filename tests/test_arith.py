@@ -92,6 +92,13 @@ def test_idempotent_set_membership():
     assert E.mask == (1 << 0) | (1 << 1) | (1 << 4) | (1 << 9)
 
 
+def test_idempotents_at_max_n_build_no_mask_until_asked():
+    E = idempotents(10**12)
+    assert list(E) == [0, 1, 81787109376, 918212890625]
+    assert 918212890625 in E and 2 not in E and -1 not in E
+    assert "mask" not in vars(E)  # a width-10^12 mask would need over 100 GB
+
+
 def test_is_idempotent():
     assert is_idempotent(9, 12)
     assert is_idempotent(21, 12)  # reduced mod 12 -> 9

@@ -117,6 +117,42 @@ def test_verify_json(capsys):
     assert rec["results"]["extension_spot_checks"] > 0
 
 
+@pytest.mark.parametrize("n, checked", [(30, 22), (36, 32)])
+def test_verify_checks_every_one_term_extension(capsys, n, checked):
+    # every non-idempotent residue: n - 2^omega of them
+    code, out, _ = run_cli(capsys, "verify", str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["extension_spot_checks"] == checked
+
+
+def test_verify_rejects_a_witness_that_is_not_maximal(capsys, monkeypatch):
+    real = cli.verify_theorem
+    monkeypatch.setattr(
+        cli, "verify_theorem", lambda *a: replace(real(*a), witness=(2, 3))
+    )
+    code, _, err = run_cli(capsys, "verify", "12")
+    assert code == 4
+    assert "witness for n=12 extends by 5 and stays free" in err
+
+
+def test_verify_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "12", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--seed" not in capsys.readouterr().out
+
+
+def test_idempotents_at_max_n(capsys):
+    code, out, _ = run_cli(capsys, "idempotents", "1000000000000")
+    assert code == 0
+    rows = dict(line.split(None, 1) for line in out.splitlines())
+    assert rows["count"] == "4"
+    assert rows["members"] == "0,1,81787109376,918212890625"
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "idempotents", "1")
     assert code == 2

@@ -1,0 +1,41 @@
+"""Every name a module of ebmod imports is read in that module.
+
+The package __init__ imports to re-export, and __future__ imports are
+directives, so both are exempt.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src" / "ebmod"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append(alias.asname or alias.name.split(".")[0])
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read]
+
+
+def test_the_check_sees_an_unused_import():
+    source = "from math import gcd, isqrt\nimport os.path\n\nprint(gcd(4, 6))\n"
+    assert unused_imports(source) == ["isqrt", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text()) == []

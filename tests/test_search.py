@@ -184,3 +184,38 @@ def test_image_matches_reference_on_arbitrary_masks(n):
         chunks = engine._chunks(S)
         for idx, a in enumerate(engine.candidates):
             assert engine._image(S, chunks, idx) == reference_image(n, a, S)
+
+
+class _Unreadable:
+    """A candidate iterable that fails the test if it is ever read."""
+
+    def __iter__(self):
+        raise AssertionError("candidates read before the size guards ran")
+
+
+@pytest.mark.parametrize("n, cap", [(2_000_000, 1_999_000), (1_000, 900)])
+def test_out_of_reach_search_is_refused_before_reading_candidates(n, cap):
+    # the first exceeds the state-space guard, the second the table guard
+    with pytest.raises(BudgetExceeded):
+        FreeSearch(n, _Unreadable(), 0b11, cap, SearchBudget())
+
+
+def _probes(engine: FreeSearch, seed: int) -> list[int]:
+    lengths = []
+    probe = engine.exists_free
+
+    def counted(r):
+        lengths.append(r)
+        return probe(r)
+
+    engine.exists_free = counted
+    engine.max_free_length(seed=seed)
+    return lengths
+
+
+def test_probes_gallop_from_the_seed_with_no_cap_probe():
+    # I(12): cap 8, longest free length 3
+    assert _probes(eb_engine(12), seed=3) == [3, 4]
+    assert _probes(eb_engine(12), seed=0) == [1, 2, 3, 4]
+    # the Davenport search mod 9 (cyclic): cap 5 is the answer, one probe
+    assert _probes(dav_engine(9), seed=5) == [5]
