@@ -338,11 +338,13 @@ def cmd_scan(args) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
+    states = SearchBudget().max_states  # a power of two
     p.add_argument(
         "--max-states",
         type=int,
-        default=1 << 26,
-        help="memo-table state cap per exact search (default: 2^26)",
+        default=states,
+        help="memo-table state cap per exact search "
+        f"(default: 2^{states.bit_length() - 1})",
     )
     p.add_argument(
         "--max-seconds",

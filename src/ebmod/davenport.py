@@ -63,7 +63,7 @@ def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportR
     formula = davenport_formula_bound(shape)
     phi = totient(f)
     # the search drops the forbidden unit 1 from the candidates
-    found = longest_free(n, units(n), 1 << 1, phi - 1, formula, budget)
+    found = longest_free(n, units(n), 1 << 1, phi - 1, formula, phi, budget)
     if found.value is None:
         lo, hi = found.bounds
         raise UndecidedError(

@@ -75,29 +75,33 @@ def _davenport_or_bounds(n: int, budget: SearchBudget):
 
 
 def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
-    """Exact I(n) by exhaustive search over canonical residue sequences.
+    """Exact I(n): by the paper's theorem in a proved class, else by
+    exhaustive search over canonical residue sequences.
 
-    The search drops idempotent residues from the candidate terms (any
-    such term is instantly non-free on its own).  The Davenport side is
-    computed first: its value seeds the probe schedule with the
-    certified floor D + Omega - omega - 1, and it fills davenport (or
-    davenport_bounds) and lower_bound on the result, so a caller needs
-    no second Davenport call.
+    The Davenport side is computed first: it gives the certified floor
+    D + Omega - omega and fills davenport (or davenport_bounds) and
+    lower_bound on the result, so a caller needs no second Davenport
+    call.  When D is decided and n is a prime power or squarefree, the
+    theorem makes that floor the value and the search only walks its
+    lexicographically smallest witness; a floor the walk cannot confirm
+    raises InconsistencyError.  Otherwise the search gallops from the
+    floor to the strict-growth ceiling.  Idempotent residues are never
+    candidate terms (each is non-free on its own).
     """
     f = factorize(n)
     E = idempotents(n)
     dav, dav_bounds = _davenport_or_bounds(n, budget)
     D = dav.value if dav is not None else None
     lower = (dav_bounds[0] if D is None else D) + f.big_omega - f.omega  # a floor for I
-    found = longest_free(n, range(n), E.mask, _structure_cap(f), lower, budget)
+    cap = _structure_cap(f)
+    proved = D is not None and _equality_class(f) != "none"
+    found = longest_free(
+        n, range(n), E.mask, cap, lower, lower if proved else cap + 1, budget
+    )
     witness = None
     if found.value is not None:
         witness = ResidueSequence(n, found.witness)
         certify.idempotent_product_free(witness, found.value, E)
-        if D is not None and _equality_class(f) != "none" and found.value != lower:
-            raise InconsistencyError(
-                f"I({n}) = {found.value} != {lower} in a proved-equality case"
-            )
     return EBResult(
         n=n,
         value=found.value,
@@ -209,10 +213,11 @@ class TheoremReport:
     floor.  status: THEOREM_* rows carry the proved I(n) = lower_bound;
     CONJECTURE_VERIFIED/COUNTEREXAMPLE an exhaustively decided I(n)
     outside the proved classes; UNDECIDED brackets only.  witness is
-    the searched maximum free sequence when I(n) is decided by search,
-    else the extremal construction; a COUNTEREXAMPLE witness is free of
-    length >= lower_bound, refuting equality.  note names the search
-    that ran out of budget, if any.
+    the lexicographically smallest maximum free sequence when eb_exact
+    decided I(n) (in a proved class the search walks only that sequence,
+    at the theorem's length), else the extremal construction; a
+    COUNTEREXAMPLE witness is free of length >= lower_bound, refuting
+    equality.  note names the search that ran out of budget, if any.
     """
 
     n: int
@@ -251,9 +256,10 @@ def verify_theorem(n: int, budget: SearchBudget = SearchBudget()) -> TheoremRepo
 
     (a) When D is decided, the extremal construction must verify
     idempotent-product free (the lower-bound certificate).  (b) In a
-    proved class I(n) = D + Omega - omega, so the theorem gives the value
-    even when the confirming search runs out, and eb_exact raises if a
-    decided search disagrees.  Violations raise InconsistencyError —
+    proved class with D decided, I(n) = D + Omega - omega comes from the
+    theorem: eb_exact's search only walks the witness at that length,
+    and the theorem still gives the value when that walk runs out of
+    budget.  Violations raise InconsistencyError —
     they would be implementation bugs, not findings.  Undecided
     components are reported as such, never guessed.
     """

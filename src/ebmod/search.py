@@ -41,9 +41,13 @@ Key facts the engine leans on:
 Probing order exploits the cost asymmetry: refuting length r costs
 roughly exponential in the slack cap - r, so the engine gallops upward
 from a proven lower bound and pays one refutation, at the true answer
-+ 1 (the cheapest possible), or none when the answer is cap.  When the
-bound already equals cap (a cyclic unit group), one confirming probe is
-the whole search.
++ 1 (the cheapest possible), or none when the answer reaches a proven
+upper bound.  That bound is cap unless the caller proves a lower
+ceiling (a theorem's value), and the gallop never probes past it.  When
+the lower bound already equals the upper one (a cyclic unit group, or
+a theorem's I(n)), one confirming probe is the whole search: it walks
+the lexicographically smallest path, which the witness then reads from
+the memo, and no refutation runs.
 
 longest_free is the one routine that builds and runs an engine; both
 davenport_exact and eb_exact take their value and witness, or the
@@ -231,21 +235,24 @@ class FreeSearch:
                 return True
         return False
 
-    def max_free_length(self, seed: int = 0) -> int:
+    def max_free_length(self, seed: int = 0, limit: int | None = None) -> int:
         """Largest r with a free sequence of length r.
 
         seed must be an already-proven lower bound (0 is always safe);
         anything stronger, e.g. from a classical formula, turns all but
-        one probe into cheap confirmations.
+        one probe into cheap confirmations.  limit, when given, must be
+        an already-proven upper bound: no length above it is probed, so
+        seed == limit leaves one confirming probe and no refutation.
         """
         if not self.candidates or self.cap <= 0:
             return 0
-        g = min(max(seed, 0), self.cap)
+        top = self.cap if limit is None else min(limit, self.cap)
+        g = min(max(seed, 0), top)
         if g > 0 and not self.exists_free(g):
             raise InconsistencyError(
                 f"claimed lower bound {g} refuted for n={self.n}"
             )
-        while g + 1 <= self.cap and self.exists_free(g + 1):
+        while g < top and self.exists_free(g + 1):
             g += 1
         return g
 
@@ -294,24 +301,27 @@ def longest_free(
     forbidden_mask: int,
     cap: int,
     floor: int,
+    ceiling: int,
     budget: SearchBudget,
 ) -> Longest:
     """One more than the maximum length of a free sequence over
     `candidates` avoiding `forbidden_mask`, with the lexicographically
-    smallest free sequence of that length.  floor is a proven lower
-    bound for the value and seeds the probes, and cap bounds every free
-    length; a budget that runs out leaves the bracket [lo, hi] with lo
-    past the longest length the search proved."""
+    smallest free sequence of that length.  [floor, ceiling] is a proven
+    bracket for the value: floor seeds the probes, and no length at or
+    past ceiling is probed, so floor == ceiling runs no refutation (cap
+    bounds every free length, so ceiling = cap + 1 proves nothing more).
+    A budget that runs out leaves the bracket [lo, hi] with lo past the
+    longest length the search proved."""
     engine = None
     try:
         engine = FreeSearch(n, candidates, forbidden_mask, cap, budget)
-        length = engine.max_free_length(seed=floor - 1)
+        length = engine.max_free_length(seed=floor - 1, limit=ceiling - 1)
     except BudgetExceeded as exc:
         lo = max(floor, (engine.best_true if engine is not None else 0) + 1)
         return Longest(None, None, (lo, max(cap + 1, lo)), str(exc))
     value = length + 1
-    if not floor <= value <= cap + 1:
+    if not floor <= value <= ceiling:
         raise InconsistencyError(
-            f"value {value} for n={n} outside [{floor}, {cap + 1}] (floor, ceiling)"
+            f"value {value} for n={n} outside [{floor}, {ceiling}] (floor, ceiling)"
         )
     return Longest(value, engine.witness(length), None, None)

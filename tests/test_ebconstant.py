@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -23,8 +24,8 @@ from ebmod.ebconstant import (
     extract_witness_squarefree,
     verify_theorem,
 )
-from ebmod.errors import DomainError, UndecidedError
-from ebmod.search import FreeSearch, SearchBudget
+from ebmod.errors import DomainError, InconsistencyError, UndecidedError
+from ebmod.search import FreeSearch, SearchBudget, longest_free
 from ebmod.sequences import (
     ResidueSequence,
     is_idempotent_product_free,
@@ -83,7 +84,64 @@ def test_eb_value_vs_lower_bound_and_cap():
         assert r.value >= r.lower_bound
         assert r.value <= n - (1 << f.omega) + 1
         if f.omega == 1 or f.is_squarefree:
-            assert r.value == r.lower_bound
+            # eb_exact takes the theorem's value here; the full search
+            # up to the strict-growth ceiling checks the theorem
+            found = _searched_eb(n, r.lower_bound)
+            assert found.value == r.value == r.lower_bound
+
+
+def _searched_eb(n: int, floor: int):
+    cap = n - (1 << factorize(n).omega)
+    return longest_free(
+        n, range(n), idempotents(n).mask, cap, floor, cap + 1, SearchBudget()
+    )
+
+
+def _eb_verdicts(monkeypatch) -> list[tuple[int, bool]]:
+    """(length, verdict) of every probe an I(n) engine answers."""
+    verdicts = []
+    real = FreeSearch.exists_free
+
+    def counted(self, r):
+        got = real(self, r)
+        if self.forbidden != 1 << 1:  # not a Davenport engine
+            verdicts.append((r, got))
+        return got
+
+    monkeypatch.setattr(FreeSearch, "exists_free", counted)
+    return verdicts
+
+
+def test_proved_class_rows_run_no_refutation(monkeypatch):
+    verdicts = _eb_verdicts(monkeypatch)
+    for n in range(2, 41):
+        f = factorize(n)
+        if f.omega > 1 and not f.is_squarefree:
+            continue
+        verdicts.clear()
+        r = eb_exact(n)
+        assert all(got for _, got in verdicts), (n, verdicts)
+        assert r.witness.as_tuple() == _searched_eb(n, r.lower_bound).witness
+
+
+@pytest.mark.parametrize("n", (12, 18, 20))
+def test_rows_outside_the_proved_classes_refute_once(monkeypatch, n):
+    verdicts = _eb_verdicts(monkeypatch)
+    r = eb_exact(n)
+    assert [length for length, got in verdicts if not got] == [r.value]
+
+
+def test_a_theorem_floor_that_is_too_high_is_refuted(monkeypatch):
+    real = ebc_mod._davenport_or_bounds
+
+    def inflated(m, budget):
+        dav, bounds = real(m, budget)
+        return dataclasses.replace(dav, value=dav.value + 1), bounds
+
+    monkeypatch.setattr(ebc_mod, "_davenport_or_bounds", inflated)
+    # D((Z/10Z)^x) = 4 = I(10), so the inflated floor 5 claims length 4
+    with pytest.raises(InconsistencyError, match="claimed lower bound 4 refuted for n=10"):
+        eb_exact(10)
 
 
 def test_eb_undecided_at_tiny_budget():

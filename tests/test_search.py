@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 
 from ebmod.errors import BudgetExceeded
-from ebmod.search import FreeSearch, SearchBudget
+from ebmod.search import FreeSearch, SearchBudget, longest_free
 
 from oracles import (
     brute_davenport,
@@ -219,3 +219,30 @@ def test_probes_gallop_from_the_seed_with_no_cap_probe():
     assert _probes(eb_engine(12), seed=0) == [1, 2, 3, 4]
     # the Davenport search mod 9 (cyclic): cap 5 is the answer, one probe
     assert _probes(dav_engine(9), seed=5) == [5]
+
+
+@pytest.mark.parametrize("n", (6, 9, 10, 12))
+def test_longest_free_never_probes_at_or_past_its_ceiling(monkeypatch, n):
+    verdicts = []
+    real = FreeSearch.exists_free
+
+    def counted(self, r):
+        got = real(self, r)
+        verdicts.append((r, got))
+        return got
+
+    monkeypatch.setattr(FreeSearch, "exists_free", counted)
+    idem = brute_idempotents(n)
+    cap, value = n - len(idem), brute_eb(n)
+    for floor in (1, value):
+        for ceiling in range(value, cap + 2):
+            verdicts.clear()
+            found = longest_free(
+                n, range(n), _mask(idem), cap, floor, ceiling, SearchBudget()
+            )
+            assert found.value == value
+            assert all(r < ceiling for r, _ in verdicts), (floor, ceiling, verdicts)
+    # floor == ceiling: one confirming probe, no refutation
+    verdicts.clear()
+    longest_free(n, range(n), _mask(idem), cap, value, value, SearchBudget())
+    assert verdicts == [(value - 1, True)]
