@@ -2,15 +2,25 @@
 
 D is the least length forcing every unit sequence of that length to
 contain a nonempty product-one subsequence; equivalently one more than
-the maximum length of a product-one-free unit sequence, which is what
-the search engine computes.  Every returned witness is re-verified
-through the independent product-set code path before it leaves this
-module.
+the maximum length of a product-one-free unit sequence.  The classical
+sequence taking each invariant-factor generator d_i - 1 times gives
+D >= 1 + sum(d_i - 1), and theorems make that floor the value for three
+kinds of group: p-groups (Olson 1969, J. Number Theory 1, part I), rank
+<= 2 (Olson, part II; van Emde Boas & Kruyswijk 1967) and C2+C2+C2m
+(Delorme, Ordaz & Quiroz 2001, Discrete Math. 237).  Among n <= 200
+only n = 168 and 195 fall outside them.  There the search engine
+decides D; inside them the value is the theorem's, and the search only
+walks its lexicographically smallest witness, with no refutation.
+Every returned witness is re-verified through the independent
+product-set code path before it leaves this module.
 
-Budget exhaustion never produces a silent wrong answer: it raises
-UndecidedError carrying the best certified bounds, with the classical
-1 + sum(d_i - 1) construction as the floor and phi(n) (strict growth
-inside the unit group) as the ceiling.
+Budget exhaustion never produces a silent wrong answer.  A theorem's
+value stands when its witness walk runs out, and the classical sequence
+built from concrete generators (unitgroup.invariant_generators) becomes
+the witness.  Elsewhere, and when the engine's size guards refuse the
+search outright, it raises UndecidedError carrying the best certified
+bounds, with the formula as the floor and phi(n) (strict growth inside
+the unit group) as the ceiling.
 """
 from __future__ import annotations
 
@@ -21,19 +31,26 @@ from .arith import factorize
 from .errors import UndecidedError
 from .search import SearchBudget, longest_free
 from .sequences import ResidueSequence
-from .unitgroup import GroupShape, totient, unit_group_shape, units
+from .unitgroup import (
+    GroupShape, invariant_generators, totient, unit_group_shape, units
+)
 
-# decided values are budget-independent, so one cache serves all callers
-_cache: dict[int, "DavenportResult"] = {}
+# Decided values are budget-independent, so one cache serves all callers.
+# A construction witness is cached under (n, budget) only, so a larger
+# budget still walks to the lexicographically smallest one.
+_cache: dict[int | tuple[int, SearchBudget], "DavenportResult"] = {}
 
 
 @dataclass(frozen=True)
 class DavenportResult:
     """Exact D((Z/nZ)^x) with a maximum-length product-one-free witness
     (length value - 1).  method records how the value was vouched for:
-    "formula-cross-checked" when the exhaustive search agrees with the
-    classical 1 + sum(d_i - 1) bound, plain "exhaustive" when the search
-    value exceeds it (the bound is only a floor in general)."""
+    "theorem: <citation>" when a theorem gives it (the witness is the
+    lexicographically smallest one, or, with " + construction" appended,
+    the classical sequence because the walk ran out of budget);
+    "formula-cross-checked" when the search outside the theorems' classes
+    agrees with the classical 1 + sum(d_i - 1) bound; plain "exhaustive"
+    when the search value exceeds it."""
 
     n: int
     value: int
@@ -42,38 +59,70 @@ class DavenportResult:
 
 
 def davenport_formula_bound(shape: GroupShape) -> int:
-    """Classical lower bound 1 + sum(d_i - 1): the sequence taking each
-    invariant-factor generator d_i - 1 times is product-one free."""
+    """1 + sum(d_i - 1): the sequence taking each invariant-factor
+    generator d_i - 1 times is product-one free, so this is always a
+    floor for D, and it is D wherever _theorem cites a theorem."""
     return 1 + sum(d - 1 for d in shape.invariant_factors)
 
 
-def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportResult:
-    """Exact D((Z/nZ)^x) by exhaustive search over canonical unit
-    sequences with product-set memoization.
+def _theorem(shape: GroupShape) -> str | None:
+    """Citation of the theorem proving D = davenport_formula_bound(shape),
+    or None when no theorem here covers the shape."""
+    ds = shape.invariant_factors
+    if shape.order > 1 and factorize(shape.order).omega == 1:
+        return "Olson 1969 (p-group)"
+    if shape.rank <= 2:
+        return "Olson 1969; van Emde Boas & Kruyswijk 1967 (rank <= 2)"
+    if len(ds) == 3 and ds[:2] == (2, 2):  # 2 | d_3
+        return "Delorme, Ordaz & Quiroz 2001 (C2+C2+C2m)"
+    return None
 
-    Raises UndecidedError with bounds (lo, hi) when the budget is
-    exhausted first; both endpoints are certified (lo by an explicit
-    free sequence or the classical construction, hi by strict growth).
+
+def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportResult:
+    """Exact D((Z/nZ)^x): the theorem's value where _theorem cites one,
+    else by exhaustive search over canonical unit sequences with
+    product-set memoization.
+
+    In a theorem's class the search gets the bracket [formula, formula],
+    so its one probe walks the lexicographically smallest witness and
+    no refutation runs; when that walk runs out of budget, the classical
+    sequence is the witness.  Raises UndecidedError with bounds (lo, hi)
+    when a search outside the classes runs out first, or when the
+    engine's size guards refuse to search at all; both endpoints are
+    certified (lo by an explicit free sequence or the classical
+    construction, hi by strict growth).
     """
     f = factorize(n)  # validates n
-    got = _cache.get(n)
+    got = _cache.get(n) or _cache.get((n, budget))
     if got is not None:
         return got
     shape = unit_group_shape(f)
     formula = davenport_formula_bound(shape)
+    theorem = _theorem(shape)
     phi = totient(f)
+    ceiling = phi if theorem is None else formula
     # the search drops the forbidden unit 1 from the candidates
-    found = longest_free(n, units(n), 1 << 1, phi - 1, formula, phi, budget)
-    if found.value is None:
+    found = longest_free(n, units(n), 1 << 1, phi - 1, formula, ceiling, budget)
+    if found.value is not None:
+        value, witness = found.value, ResidueSequence(n, found.witness)
+        if theorem is not None:
+            method = f"theorem: {theorem}"
+        else:
+            method = "formula-cross-checked" if value == formula else "exhaustive"
+    elif theorem is not None and found.states:
+        # the engine was built and its walk ran out: the theorem still
+        # gives the value, and g_1^[d_1 - 1] ... g_s^[d_s - 1] a witness
+        value, method = formula, f"theorem: {theorem} + construction"
+        gens = invariant_generators(f)
+        witness = ResidueSequence(n, [g for g, d in gens for _ in range(d - 1)])
+    else:
         lo, hi = found.bounds
         raise UndecidedError(
             f"Davenport constant for n={n} undecided at budget: "
             f"in [{lo}, {hi}] ({found.reason})",
             bounds=found.bounds,
         )
-    witness = ResidueSequence(n, found.witness)
-    certify.product_one_free(witness, found.value)
-    method = "formula-cross-checked" if found.value == formula else "exhaustive"
-    result = DavenportResult(n=n, value=found.value, witness=witness, method=method)
-    _cache[n] = result
+    certify.product_one_free(witness, value)
+    result = DavenportResult(n=n, value=value, witness=witness, method=method)
+    _cache[n if found.value is not None else (n, budget)] = result
     return result

@@ -44,8 +44,8 @@ from a proven lower bound and pays one refutation, at the true answer
 + 1 (the cheapest possible), or none when the answer reaches a proven
 upper bound.  That bound is cap unless the caller proves a lower
 ceiling (a theorem's value), and the gallop never probes past it.  When
-the lower bound already equals the upper one (a cyclic unit group, or
-a theorem's I(n)), one confirming probe is the whole search: it walks
+the lower bound already equals the upper one (a theorem's D or a
+theorem's I(n)), one confirming probe is the whole search: it walks
 the lexicographically smallest path, which the witness then reads from
 the memo, and no refutation runs.
 
@@ -287,12 +287,15 @@ class FreeSearch:
 
 
 class Longest(NamedTuple):
-    """longest_free's outcome: value and witness, or bracket and reason."""
+    """longest_free's outcome: value and witness, or bracket and reason,
+    with the states the engine explored (0 when its size guards refused
+    to build it)."""
 
     value: int | None
     witness: tuple[int, ...] | None
     bounds: tuple[int, int] | None
     reason: str | None
+    states: int
 
 
 def longest_free(
@@ -317,11 +320,14 @@ def longest_free(
         engine = FreeSearch(n, candidates, forbidden_mask, cap, budget)
         length = engine.max_free_length(seed=floor - 1, limit=ceiling - 1)
     except BudgetExceeded as exc:
-        lo = max(floor, (engine.best_true if engine is not None else 0) + 1)
-        return Longest(None, None, (lo, max(cap + 1, lo)), str(exc))
+        built = engine is not None
+        states = engine.states_used if built else 0
+        lo = max(floor, (engine.best_true if built else 0) + 1)
+        return Longest(None, None, (lo, max(cap + 1, lo)), str(exc), states)
     value = length + 1
     if not floor <= value <= ceiling:
         raise InconsistencyError(
             f"value {value} for n={n} outside [{floor}, {ceiling}] (floor, ceiling)"
         )
-    return Longest(value, engine.witness(length), None, None)
+    witness = engine.witness(length)
+    return Longest(value, witness, None, None, engine.states_used)

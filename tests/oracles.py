@@ -4,7 +4,10 @@ Everything here favors obviousness over speed: plain loops, explicit
 enumeration of all 2^len - 1 index subsets, no bitsets, no memoization,
 no pruning beyond what the definitions force.  Only usable at tiny
 scales; the test files pin the scales.  Nothing imports the package
-under test.
+under test, except the two _searched_* helpers at the end: they are no
+oracles but the package's own full search, galloping up to the
+strict-growth ceiling with no theorem's ceiling, so that tests check a
+theorem's value against the search instead of against itself.
 """
 from __future__ import annotations
 
@@ -136,3 +139,28 @@ def shape_order_multiset(invariant_factors) -> list[int]:
             o = lcm(o, d // gcd(x, d))
         orders.append(o)
     return sorted(orders) if invariant_factors else [1]
+
+
+def _searched_davenport(n: int):
+    """D((Z/nZ)^x) by the full search: the gallop from the classical
+    formula up to phi(n), where davenport_exact stops at a theorem's value."""
+    from ebmod.davenport import davenport_formula_bound
+    from ebmod.search import SearchBudget, longest_free
+    from ebmod.unitgroup import totient, unit_group_shape, units
+
+    phi = totient(n)
+    formula = davenport_formula_bound(unit_group_shape(n))
+    return longest_free(n, units(n), 1 << 1, phi - 1, formula, phi, SearchBudget())
+
+
+def _searched_eb(n: int, floor: int):
+    """I(n) by the full search: the gallop from floor up to the
+    strict-growth ceiling, where eb_exact stops at the theorem's value in
+    the proved classes."""
+    from ebmod.arith import factorize, idempotents
+    from ebmod.search import SearchBudget, longest_free
+
+    cap = n - (1 << factorize(n).omega)
+    return longest_free(
+        n, range(n), idempotents(n).mask, cap, floor, cap + 1, SearchBudget()
+    )

@@ -162,13 +162,13 @@ def test_domain_error_exit_code(capsys):
 def test_undecided_exit_codes(capsys):
     import ebmod.davenport as dav_mod
 
-    dav_mod._cache.pop(91, None)
-    code, out, _ = run_cli(capsys, "davenport", "91", "--max-states", "500")
+    dav_mod._cache.pop(168, None)
+    code, out, _ = run_cli(capsys, "davenport", "168", "--max-states", "500")
     assert code == 0  # informative, not strict
     assert "undecided" in out
-    dav_mod._cache.pop(91, None)
+    dav_mod._cache.pop(168, None)
     code, out, _ = run_cli(
-        capsys, "davenport", "91", "--max-states", "500", "--strict"
+        capsys, "davenport", "168", "--max-states", "500", "--strict"
     )
     assert code == 3
 

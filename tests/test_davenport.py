@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import ebmod.davenport as dav_mod
+from ebmod import certify
 from ebmod.arith import factorize
 from ebmod.davenport import (
     DavenportResult,
@@ -10,11 +11,11 @@ from ebmod.davenport import (
     davenport_formula_bound,
 )
 from ebmod.errors import UndecidedError
-from ebmod.search import SearchBudget
+from ebmod.search import FreeSearch, SearchBudget
 from ebmod.sequences import product_set
 from ebmod.unitgroup import GroupShape, totient, unit_group_shape
 
-from oracles import brute_davenport, brute_is_product_one_free
+from oracles import _searched_davenport, brute_davenport, brute_is_product_one_free
 
 
 def test_examples():
@@ -33,9 +34,9 @@ def test_against_brute_small():
 
 def test_cyclic_prime_values():
     # unit group of Z_p is cyclic of order p-1, whose Davenport constant
-    # is classically its order; the engine proves it exhaustively
+    # is classically its order; the full search proves it exhaustively
     for p in (2, 3, 5, 7, 11):
-        assert davenport_exact(p).value == max(p - 1, 1)
+        assert _searched_davenport(p).value == max(p - 1, 1)
 
 
 def test_formula_bound_examples():
@@ -48,10 +49,11 @@ def test_formula_bound_examples():
 def test_value_at_least_formula_and_at_most_phi():
     for n in range(2, 41):
         f = factorize(n)
-        r = davenport_exact(n)
+        r = _searched_davenport(n)
         assert davenport_formula_bound(unit_group_shape(f)) <= r.value <= max(
             totient(f), 1
         )
+        assert davenport_exact(n).value == r.value
 
 
 def test_witness_is_free_and_maximal_length():
@@ -70,11 +72,37 @@ def test_witness_is_free_and_maximal_length():
             assert 1 not in product_set(r.witness)
 
 
+P_GROUP = "theorem: Olson 1969 (p-group)"
+RANK_2 = "theorem: Olson 1969; van Emde Boas & Kruyswijk 1967 (rank <= 2)"
+C2_C2_C2M = "theorem: Delorme, Ordaz & Quiroz 2001 (C2+C2+C2m)"
+METHODS = {
+    5: P_GROUP, 8: P_GROUP, 12: P_GROUP, 15: P_GROUP, 16: P_GROUP, 24: P_GROUP,
+    7: RANK_2, 21: RANK_2, 31: RANK_2, 56: C2_C2_C2M, 84: C2_C2_C2M,
+}
+
+
 def test_method_field():
-    for n in (5, 8, 12, 15, 16, 24):
+    for n, method in METHODS.items():
         r = davenport_exact(n)
-        assert r.method == "formula-cross-checked"
-    assert davenport_exact(31).method in {"exhaustive", "formula-cross-checked"}
+        assert r.method == method
+        assert r.value == _searched_davenport(n).value
+
+
+def test_method_field_of_a_searched_value(monkeypatch):
+    # with no theorem to cite, the search decides D and checks the formula
+    monkeypatch.setattr(dav_mod, "_theorem", lambda shape: None)
+    monkeypatch.setattr(dav_mod, "_cache", {})
+    r = davenport_exact(12)
+    assert (r.value, r.method) == (3, "formula-cross-checked")
+
+
+@pytest.mark.parametrize("n", (56, 72, 84, 88))
+def test_c2_c2_c2m_rule_matches_the_search(n):
+    assert unit_group_shape(n).invariant_factors[:2] == (2, 2)
+    found = _searched_davenport(n)
+    r = davenport_exact(n)
+    assert found.value == r.value == davenport_formula_bound(unit_group_shape(n))
+    assert found.witness == r.witness.as_tuple()
 
 
 def test_result_is_cached():
@@ -85,17 +113,78 @@ def test_result_is_cached():
 
 
 def test_undecided_at_tiny_budget():
-    dav_mod._cache.pop(91, None)  # ensure the tiny budget is really used
+    dav_mod._cache.pop(168, None)  # ensure the tiny budget is really used
     with pytest.raises(UndecidedError) as info:
-        davenport_exact(91, SearchBudget(max_states=500))
+        davenport_exact(168, SearchBudget(max_states=500))
     lo, hi = info.value.bounds
-    shape = unit_group_shape(factorize(91))
+    shape = unit_group_shape(factorize(168))
     assert lo >= davenport_formula_bound(shape)
-    assert hi == totient(91)
+    assert hi == totient(168)
     assert lo <= hi
 
 
 def test_undecided_at_tiny_time_budget():
-    dav_mod._cache.pop(95, None)
+    dav_mod._cache.pop(195, None)
     with pytest.raises(UndecidedError):
-        davenport_exact(95, SearchBudget(max_seconds=0.05))
+        davenport_exact(195, SearchBudget(max_seconds=0.05))
+
+
+def test_only_168_and_195_below_200_lack_a_theorem():
+    uncovered = [
+        n for n in range(2, 201) if dav_mod._theorem(unit_group_shape(n)) is None
+    ]
+    assert uncovered == [168, 195]
+    assert [unit_group_shape(n).invariant_factors for n in uncovered] == [
+        (2, 2, 2, 6), (2, 4, 12)
+    ]
+
+
+def test_theorem_rows_run_no_refutation(monkeypatch):
+    verdicts = []
+    real = FreeSearch.exists_free
+
+    def counted(self, r):
+        got = real(self, r)
+        if self.forbidden == 1 << 1:  # a Davenport engine
+            verdicts.append((r, got))
+        return got
+
+    monkeypatch.setattr(FreeSearch, "exists_free", counted)
+    for n in range(2, 101):
+        dav_mod._cache.pop(n, None)
+        verdicts.clear()
+        r = davenport_exact(n)
+        assert all(got for _, got in verdicts), (n, verdicts)
+        if n <= 40:
+            assert r.witness.as_tuple() == _searched_davenport(n).witness
+
+
+@pytest.mark.parametrize("n", (5, 7, 13, 85, 93))
+def test_spent_walk_keeps_the_theorem_value_with_the_construction(monkeypatch, n):
+    monkeypatch.setattr(dav_mod, "_cache", {})
+    r = davenport_exact(n, SearchBudget(max_states=1))
+    assert r.value == davenport_formula_bound(unit_group_shape(n))
+    certify.product_one_free(r.witness, r.value)
+    assert r.method.endswith(" + construction")
+
+
+def test_a_construction_witness_is_cached_for_its_budget_only(monkeypatch):
+    monkeypatch.setattr(dav_mod, "_cache", {})
+    tiny = SearchBudget(max_states=1)
+    r = davenport_exact(13, tiny)
+    assert r.witness.as_tuple() == (11,) * 11  # a generator of (Z/13Z)^x
+    assert davenport_exact(13, tiny) is r
+    assert davenport_exact(13).witness.as_tuple() == (2,) * 11  # lex-smallest
+
+
+def test_davenport_91_decides_within_ten_thousand_states(monkeypatch):
+    real = FreeSearch._tick
+
+    def capped(self):
+        real(self)
+        assert self.states_used <= 10_000, "the walk should need no refutation"
+
+    monkeypatch.setattr(FreeSearch, "_tick", capped)
+    dav_mod._cache.pop(91, None)
+    r = davenport_exact(91)
+    assert r.value == 17 and not r.method.endswith(" + construction")

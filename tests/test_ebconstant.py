@@ -25,7 +25,7 @@ from ebmod.ebconstant import (
     verify_theorem,
 )
 from ebmod.errors import DomainError, InconsistencyError, UndecidedError
-from ebmod.search import FreeSearch, SearchBudget, longest_free
+from ebmod.search import FreeSearch, SearchBudget
 from ebmod.sequences import (
     ResidueSequence,
     is_idempotent_product_free,
@@ -33,7 +33,7 @@ from ebmod.sequences import (
     running_product_sets,
 )
 
-from oracles import brute_davenport, brute_eb, brute_is_free
+from oracles import _searched_eb, brute_davenport, brute_eb, brute_is_free
 
 
 def test_eb_examples():
@@ -90,13 +90,6 @@ def test_eb_value_vs_lower_bound_and_cap():
             assert found.value == r.value == r.lower_bound
 
 
-def _searched_eb(n: int, floor: int):
-    cap = n - (1 << factorize(n).omega)
-    return longest_free(
-        n, range(n), idempotents(n).mask, cap, floor, cap + 1, SearchBudget()
-    )
-
-
 def _eb_verdicts(monkeypatch) -> list[tuple[int, bool]]:
     """(length, verdict) of every probe an I(n) engine answers."""
     verdicts = []
@@ -145,13 +138,13 @@ def test_a_theorem_floor_that_is_too_high_is_refuted(monkeypatch):
 
 
 def test_eb_undecided_at_tiny_budget():
-    dav_mod._cache.pop(91, None)
-    r = eb_exact(91, SearchBudget(max_states=500))
+    dav_mod._cache.pop(168, None)
+    r = eb_exact(168, SearchBudget(max_states=500))
     assert r.status == STATUS_UNDECIDED
     assert r.value is None and r.witness is None
     lo, hi = r.bounds
     assert lo <= hi
-    assert hi == 91 - 4 + 1  # strict-growth ceiling for two prime factors
+    assert hi == 168 - 8 + 1  # strict-growth ceiling for three prime factors
 
 
 # n = 11 is left out: brute_eb(11) is out of reach
@@ -195,14 +188,13 @@ def test_undecided_bracket_uses_lengths_the_search_proved(monkeypatch, n, max_st
 def test_eb_result_carries_the_davenport_side():
     r = eb_exact(12)
     assert (r.davenport, r.davenport_bounds, r.lower_bound) == (3, None, 4)
-    dav_mod._cache.pop(91, None)
-    r = eb_exact(91, SearchBudget(max_states=500))
-    assert (r.davenport, r.davenport_bounds, r.lower_bound) == (None, (17, 72), None)
+    dav_mod._cache.pop(168, None)
+    r = eb_exact(168, SearchBudget(max_states=500))
+    assert (r.davenport, r.davenport_bounds, r.lower_bound) == (None, (9, 48), None)
 
 
-def test_verify_theorem_runs_one_davenport_search(monkeypatch):
-    """An undecided D is not cached, so a second Davenport call would pay
-    its budget again; verify_theorem takes D from eb_exact instead."""
+def _engine_masks(monkeypatch) -> list[int]:
+    """The forbidden mask of every engine built from here on."""
     masks = []
     real_init = FreeSearch.__init__
 
@@ -211,10 +203,28 @@ def test_verify_theorem_runs_one_davenport_search(monkeypatch):
         real_init(self, n, candidates, forbidden_mask, cap, budget)
 
     monkeypatch.setattr(FreeSearch, "__init__", counting_init)
-    dav_mod._cache.pop(91, None)
-    rep = verify_theorem(91, SearchBudget(max_states=500))
-    assert (rep.davenport, rep.davenport_bounds) == (None, (17, 72))
-    assert sorted(masks) == [1 << 1, idempotents(91).mask]
+    return masks
+
+
+def test_verify_theorem_runs_one_davenport_search(monkeypatch):
+    """An undecided D is not cached, so a second Davenport call would pay
+    its budget again; verify_theorem takes D from eb_exact instead."""
+    masks = _engine_masks(monkeypatch)
+    dav_mod._cache.pop(168, None)
+    rep = verify_theorem(168, SearchBudget(max_states=500))
+    assert (rep.davenport, rep.davenport_bounds) == (None, (9, 48))
+    assert sorted(masks) == [1 << 1, idempotents(168).mask]
+
+
+def test_verify_theorem_walks_a_spent_davenport_side_once(monkeypatch):
+    # D(85) = 19 by theorem, with the construction as its witness once the
+    # walk runs out; construct_extremal reuses that result at the same
+    # budget instead of walking again
+    masks = _engine_masks(monkeypatch)
+    monkeypatch.setattr(dav_mod, "_cache", {})
+    rep = verify_theorem(85, SearchBudget(max_states=500))
+    assert rep.davenport == 19 and rep.lower_bound_certified
+    assert sorted(masks) == [1 << 1, idempotents(85).mask]
 
 
 def test_construct_examples():
@@ -326,8 +336,8 @@ def test_scan_statuses_and_consistency():
 
 
 def test_scan_undecided_rows_carry_brackets():
-    dav_mod._cache.pop(91, None)
-    rows = list(conjecture_scan(91, 91, SearchBudget(max_states=500)))
+    dav_mod._cache.pop(168, None)
+    rows = list(conjecture_scan(168, 168, SearchBudget(max_states=500)))
     (row,) = rows
     assert row.status == SCAN_UNDECIDED
     assert row.eb_value is None

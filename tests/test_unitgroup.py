@@ -3,6 +3,7 @@ from __future__ import annotations
 from ebmod.arith import factorize
 from ebmod.unitgroup import (
     GroupShape,
+    invariant_generators,
     totient,
     unit_group_shape,
     units,
@@ -72,3 +73,24 @@ def test_group_shape_properties():
     t = GroupShape(invariant_factors=())
     assert t.order == 1
     assert t.rank == 0
+
+
+def test_invariant_generators_span_the_unit_group_directly():
+    # g_i has order d_i, and the products g_1^a_1 ... g_s^a_s with
+    # 0 <= a_i < d_i are phi(n) distinct units: a direct product
+    for n in range(2, 301):
+        gens = invariant_generators(n)
+        assert tuple(d for _, d in gens) == unit_group_shape(n).invariant_factors
+        orders = brute_unit_orders(n)
+        reached = {1}
+        for g, d in gens:
+            assert orders[g] == d
+            reached = {x * pow(g, a, n) % n for x in reached for a in range(d)}
+        assert len(reached) == totient(n)
+
+
+def test_invariant_generators_examples():
+    assert invariant_generators(2) == ()
+    assert invariant_generators(5) == ((2, 4),)
+    assert invariant_generators(8) == ((5, 2), (7, 2))
+    assert invariant_generators(16) == ((15, 2), (5, 4))  # -1 and 5
