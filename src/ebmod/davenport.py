@@ -19,8 +19,8 @@ value stands when its witness walk runs out, and the classical sequence
 built from concrete generators (unitgroup.invariant_generators) becomes
 the witness.  Elsewhere, and when the engine's size guards refuse the
 search outright, it raises UndecidedError carrying the best certified
-bounds, with the formula as the floor and phi(n) (strict growth inside
-the unit group) as the ceiling.
+bounds: the formula is the floor, and the ceiling is the formula in a
+theorem's class, else phi(n) (strict growth inside the unit group).
 """
 from __future__ import annotations
 
@@ -90,7 +90,8 @@ def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportR
     when a search outside the classes runs out first, or when the
     engine's size guards refuse to search at all; both endpoints are
     certified (lo by an explicit free sequence or the classical
-    construction, hi by strict growth).
+    construction, hi by the theorem in its class, else by strict
+    growth).
     """
     f = factorize(n)  # validates n
     got = _cache.get(n) or _cache.get((n, budget))

@@ -47,7 +47,9 @@ class EBResult:
     and witness are None and bounds carries the certified bracket.
     davenport is D((Z/nZ)^x) when the Davenport side is decided, else
     None and davenport_bounds carries its certified bracket; lower_bound
-    is D + Omega - omega when D is decided, else None.
+    is D + Omega - omega when D is decided, else None.  constructed
+    marks a proved-class value whose search returned none, so the
+    theorem gives the value and the extremal construction the witness.
     """
 
     n: int
@@ -58,6 +60,7 @@ class EBResult:
     bounds: tuple[int, int] | None = None
     davenport: int | None = None
     davenport_bounds: tuple[int, int] | None = None
+    constructed: bool = False
 
 
 def _structure_cap(f: Factorization) -> int:
@@ -84,9 +87,11 @@ def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
     call.  When D is decided and n is a prime power or squarefree, the
     theorem makes that floor the value and the search only walks its
     lexicographically smallest witness; a floor the walk cannot confirm
-    raises InconsistencyError.  Otherwise the search gallops from the
-    floor to the strict-growth ceiling.  Idempotent residues are never
-    candidate terms (each is non-free on its own).
+    raises InconsistencyError.  When that walk runs out of budget, or
+    the engine's size guards refuse it, the theorem's value stands with
+    construct_extremal as the witness.  Otherwise the search gallops
+    from the floor to the strict-growth ceiling.  Idempotent residues
+    are never candidate terms (each is non-free on its own).
     """
     f = factorize(n)
     E = idempotents(n)
@@ -98,19 +103,24 @@ def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
     found = longest_free(
         n, range(n), E.mask, cap, lower, lower if proved else cap + 1, budget
     )
-    witness = None
-    if found.value is not None:
+    value, witness, bounds = found.value, None, found.bounds
+    constructed = value is None and proved
+    if constructed:
+        # construct_extremal certifies its own freeness at this length
+        value, witness, bounds = lower, construct_extremal(n, budget), None
+    elif value is not None:
         witness = ResidueSequence(n, found.witness)
-        certify.idempotent_product_free(witness, found.value, E)
+        certify.idempotent_product_free(witness, value, E)
     return EBResult(
         n=n,
-        value=found.value,
+        value=value,
         witness=witness,
         lower_bound=lower if D is not None else None,
-        status=STATUS_EXACT if found.value is not None else STATUS_UNDECIDED,
-        bounds=found.bounds,
+        status=STATUS_EXACT if value is not None else STATUS_UNDECIDED,
+        bounds=bounds,
         davenport=D,
         davenport_bounds=dav_bounds,
+        constructed=constructed,
     )
 
 
@@ -257,9 +267,8 @@ def verify_theorem(n: int, budget: SearchBudget = SearchBudget()) -> TheoremRepo
     (a) When D is decided, the extremal construction must verify
     idempotent-product free (the lower-bound certificate).  (b) In a
     proved class with D decided, I(n) = D + Omega - omega comes from the
-    theorem: eb_exact's search only walks the witness at that length,
-    and the theorem still gives the value when that walk runs out of
-    budget.  Violations raise InconsistencyError —
+    theorem, and eb_exact keeps that value when its witness walk runs
+    out of budget.  Violations raise InconsistencyError —
     they would be implementation bugs, not findings.  Undecided
     components are reported as such, never guessed.
     """
@@ -270,11 +279,10 @@ def verify_theorem(n: int, budget: SearchBudget = SearchBudget()) -> TheoremRepo
     construction = None
     if D is not None:
         construction = construct_extremal(n, budget)  # raises on any violation
-    eb_value, eb_bounds, note = eb.value, eb.bounds, ""
+    note = ""
     if equality_class != "none":
         status = _THEOREM_STATUS[equality_class]
-        if D is not None and eb.value is None:
-            eb_value, eb_bounds = lower, None  # proved equality
+        if eb.constructed:
             note = "search confirmation hit budget; value is theorem-exact"
         elif D is None and eb.value is not None:
             note = "davenport undecided; value from direct search"
@@ -296,11 +304,11 @@ def verify_theorem(n: int, budget: SearchBudget = SearchBudget()) -> TheoremRepo
         davenport_bounds=eb.davenport_bounds,
         lower_bound=lower,
         lower_bound_certified=construction is not None,
-        eb_value=eb_value,
-        eb_bounds=eb_bounds,
+        eb_value=eb.value,
+        eb_bounds=eb.bounds,
         equality_class=equality_class,
         equality_holds=(
-            eb_value == lower if eb_value is not None and lower is not None else None
+            eb.value == lower if eb.value is not None and lower is not None else None
         ),
         status=status,
         witness=witness.as_tuple() if witness is not None else None,

@@ -39,10 +39,10 @@ Key facts the engine leans on:
   probes and the witness reconstruction.
 
 Probing order exploits the cost asymmetry: refuting length r costs
-roughly exponential in the slack cap - r, so the engine gallops upward
-from a proven lower bound and pays one refutation, at the true answer
-+ 1 (the cheapest possible), or none when the answer reaches a proven
-upper bound.  That bound is cap unless the caller proves a lower
+roughly exponential in the slack cap - r, so longest_free gallops
+upward from a proven lower bound and pays one refutation, at the true
+answer + 1 (the cheapest possible), or none when the answer reaches a
+proven upper bound.  That bound is cap unless the caller proves a lower
 ceiling (a theorem's value), and the gallop never probes past it.  When
 the lower bound already equals the upper one (a theorem's D or a
 theorem's I(n)), one confirming probe is the whole search: it walks
@@ -100,7 +100,6 @@ class FreeSearch:
         self.cap = cap
         self.budget = budget
         self._nbytes = (n + 7) // 8
-        self.best_true = 0  # largest r with exists_free(r) proven
         if cap >= 1 << _LO_SHIFT:
             raise BudgetExceeded(f"state space for n={n} is out of reach")
         table_cells = cap * self._nbytes * 256  # at least one table per candidate
@@ -228,37 +227,15 @@ class FreeSearch:
             return True
         if r > self.cap:
             return False
-        for idx in range(len(self.candidates)):
-            if self._reach(self._selfbit[idx], idx, r - 1):
-                if r > self.best_true:
-                    self.best_true = r
-                return True
-        return False
-
-    def max_free_length(self, seed: int = 0, limit: int | None = None) -> int:
-        """Largest r with a free sequence of length r.
-
-        seed must be an already-proven lower bound (0 is always safe);
-        anything stronger, e.g. from a classical formula, turns all but
-        one probe into cheap confirmations.  limit, when given, must be
-        an already-proven upper bound: no length above it is probed, so
-        seed == limit leaves one confirming probe and no refutation.
-        """
-        if not self.candidates or self.cap <= 0:
-            return 0
-        top = self.cap if limit is None else min(limit, self.cap)
-        g = min(max(seed, 0), top)
-        if g > 0 and not self.exists_free(g):
-            raise InconsistencyError(
-                f"claimed lower bound {g} refuted for n={self.n}"
-            )
-        while g < top and self.exists_free(g + 1):
-            g += 1
-        return g
+        return any(
+            self._reach(self._selfbit[idx], idx, r - 1)
+            for idx in range(len(self.candidates))
+        )
 
     def witness(self, length: int) -> tuple[int, ...]:
         """Lexicographically smallest free sequence of the given length
-        (which must be achievable — call after max_free_length)."""
+        (which must be achievable — call after exists_free(length)
+        returned True, so the walk reads its path from the memo)."""
         if length == 0:
             return ()
         terms: list[int] = []
@@ -310,24 +287,24 @@ def longest_free(
     """One more than the maximum length of a free sequence over
     `candidates` avoiding `forbidden_mask`, with the lexicographically
     smallest free sequence of that length.  [floor, ceiling] is a proven
-    bracket for the value: floor seeds the probes, and no length at or
-    past ceiling is probed, so floor == ceiling runs no refutation (cap
-    bounds every free length, so ceiling = cap + 1 proves nothing more).
-    A budget that runs out leaves the bracket [lo, hi] with lo past the
-    longest length the search proved."""
+    bracket for the value: one probe confirms floor - 1, and the gallop
+    then probes upward while the next length is below ceiling, so
+    floor == ceiling runs no refutation (cap bounds every free length,
+    so ceiling = cap + 1 proves nothing more).  A budget that runs out
+    leaves the bracket [length + 1, ceiling], length being the longest
+    the search confirmed (floor - 1 before the first probe)."""
     engine = None
+    length = floor - 1
     try:
         engine = FreeSearch(n, candidates, forbidden_mask, cap, budget)
-        length = engine.max_free_length(seed=floor - 1, limit=ceiling - 1)
+        if length > 0 and not engine.exists_free(length):
+            raise InconsistencyError(
+                f"claimed lower bound {length} refuted for n={n}"
+            )
+        while length + 1 < ceiling and engine.exists_free(length + 1):
+            length += 1
+        witness = engine.witness(length)
     except BudgetExceeded as exc:
-        built = engine is not None
-        states = engine.states_used if built else 0
-        lo = max(floor, (engine.best_true if built else 0) + 1)
-        return Longest(None, None, (lo, max(cap + 1, lo)), str(exc), states)
-    value = length + 1
-    if not floor <= value <= ceiling:
-        raise InconsistencyError(
-            f"value {value} for n={n} outside [{floor}, {ceiling}] (floor, ceiling)"
-        )
-    witness = engine.witness(length)
-    return Longest(value, witness, None, None, engine.states_used)
+        states = engine.states_used if engine is not None else 0
+        return Longest(None, None, (length + 1, ceiling), str(exc), states)
+    return Longest(length + 1, witness, None, None, engine.states_used)

@@ -10,7 +10,7 @@ import pytest
 import ebmod.cli as cli
 import ebmod.ebconstant as ebc_mod
 from ebmod.cli import main
-from ebmod.ebconstant import conjecture_scan, verify_theorem
+from ebmod.ebconstant import STATUS_EXACT, conjecture_scan, eb_exact, verify_theorem
 from ebmod.search import SearchBudget
 from ebmod.sequences import ResidueSequence
 
@@ -296,12 +296,17 @@ def test_parse_error_messages(capsys):
 
 def test_verify_and_scan_agree_when_the_confirming_search_runs_out(capsys):
     """n = 46 = 2*23 is squarefree, so the theorem gives I(46) = D = 22
-    even when the I(n) search that would confirm it hits its budget."""
+    even when the I(n) search that would confirm it hits its budget;
+    eb, verify and scan all report that value."""
     budget = SearchBudget(max_states=20000)
     rep = verify_theorem(46, budget)
     assert (rep.eb_value, rep.eb_bounds, rep.equality_holds) == (22, None, True)
     assert rep.note == "search confirmation hit budget; value is theorem-exact"
     assert list(conjecture_scan(46, 46, budget)) == [rep]
+    eb = eb_exact(46, budget)
+    assert (eb.value, eb.status, eb.bounds) == (rep.eb_value, STATUS_EXACT, None)
+    assert eb.constructed
+    assert eb.witness.as_tuple() == rep.witness
     code, out, _ = run_cli(
         capsys, "verify", "46", "--max-states", "20000", "--strict", "--format", "json"
     )
@@ -309,6 +314,13 @@ def test_verify_and_scan_agree_when_the_confirming_search_runs_out(capsys):
     res = json.loads(out)["results"]
     assert (res["eb_value"], res["eb_bounds"], res["equality_holds"]) == (22, None, True)
     assert res["notes"] == [rep.note]
+    code, out, _ = run_cli(
+        capsys, "eb", "46", "--max-states", "20000", "--strict", "--format", "json"
+    )
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert (res["eb_value"], res["status"]) == (22, STATUS_EXACT)
+    assert "bounds" not in res and res["witness"] == list(rep.witness)
 
 
 def _one_term_changed(seq, old: int, new: int) -> ResidueSequence:

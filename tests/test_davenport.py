@@ -168,6 +168,16 @@ def test_spent_walk_keeps_the_theorem_value_with_the_construction(monkeypatch, n
     assert r.method.endswith(" + construction")
 
 
+def test_a_refused_theorem_search_brackets_at_the_formula():
+    # Olson's rank-2 theorem gives D((Z/4097Z)^x) = 255, but the engine's
+    # size guard refuses even the witness walk there: the row stays
+    # undecided, with the theorem closing its bracket
+    dav_mod._cache.pop(4097, None)
+    with pytest.raises(UndecidedError) as info:
+        davenport_exact(4097)
+    assert info.value.bounds == (255, 255)
+
+
 def test_a_construction_witness_is_cached_for_its_budget_only(monkeypatch):
     monkeypatch.setattr(dav_mod, "_cache", {})
     tiny = SearchBudget(max_states=1)

@@ -163,6 +163,10 @@ def test_tiny_budget_brackets_contain_brute_values(monkeypatch, max_states):
             assert lo <= brute_davenport(n) <= hi
         monkeypatch.setattr(dav_mod, "_cache", {})
         r = eb_exact(n, budget)
+        f = factorize(n)
+        if f.omega == 1 or f.is_squarefree:
+            # D is a theorem's here, so I(n) = D + Omega - omega is proved
+            assert (r.status, r.value) == (STATUS_EXACT, brute_eb(n)), (n, r.bounds)
         if r.status == STATUS_UNDECIDED:
             lo, hi = r.bounds
             assert lo <= brute_eb(n) <= hi

@@ -34,29 +34,51 @@ def _mask(residues) -> int:
     return sum(1 << a for a in set(residues))
 
 
-def eb_engine(n: int) -> FreeSearch:
-    """I(n) search over every residue; the idempotent candidates are
-    forbidden and must be dropped by the engine itself."""
+def eb_args(n: int) -> tuple:
+    """(n, candidates, forbidden_mask, cap) of the I(n) search over every
+    residue; the idempotent candidates are forbidden and must be dropped
+    by the engine itself."""
     idem = brute_idempotents(n)
-    return FreeSearch(
-        n=n,
-        candidates=list(range(n)),
-        forbidden_mask=_mask(idem),
-        cap=n - len(idem),
-        budget=SearchBudget(),
-    )
+    return n, list(range(n)), _mask(idem), n - len(idem)
+
+
+def dav_args(n: int) -> tuple:
+    """The same for the Davenport search over every unit, 1 included
+    (it is forbidden)."""
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    return n, units, 1 << 1, len(units) - 1
+
+
+def eb_engine(n: int) -> FreeSearch:
+    return FreeSearch(*eb_args(n), SearchBudget())
 
 
 def dav_engine(n: int) -> FreeSearch:
-    """Davenport search over every unit, 1 included (it is forbidden)."""
-    units = [a for a in range(1, n) if gcd(a, n) == 1]
-    return FreeSearch(
-        n=n,
-        candidates=units,
-        forbidden_mask=1 << 1,
-        cap=len(units) - 1,
-        budget=SearchBudget(),
-    )
+    return FreeSearch(*dav_args(n), SearchBudget())
+
+
+def longest(args: tuple, floor: int = 1, ceiling: int | None = None, budget=SearchBudget()):
+    """longest_free on those arguments, bracketed by [floor, ceiling]
+    (ceiling defaults to cap + 1, which proves nothing)."""
+    n, candidates, forbidden, cap = args
+    if ceiling is None:
+        ceiling = cap + 1
+    return longest_free(n, candidates, forbidden, cap, floor, ceiling, budget)
+
+
+@pytest.fixture
+def probes(monkeypatch) -> list[tuple[int, bool]]:
+    """(length, verdict) of every probe an engine answers from here on."""
+    verdicts = []
+    real = FreeSearch.exists_free
+
+    def counted(self, r):
+        got = real(self, r)
+        verdicts.append((r, got))
+        return got
+
+    monkeypatch.setattr(FreeSearch, "exists_free", counted)
+    return verdicts
 
 
 @functools.cache
@@ -89,26 +111,22 @@ def reference_image(n: int, a: int, S: int) -> int:
 
 @pytest.mark.parametrize("n", SMALL_N)
 def test_eb_search_against_brute(n):
-    engine = eb_engine(n)
-    length = engine.max_free_length()
-    assert length + 1 == brute_eb(n)
-    assert engine.witness(length) == min(brute_max_free_multisets(n))
+    found = longest(eb_args(n))
+    assert found.value == brute_eb(n)
+    assert found.witness == min(brute_max_free_multisets(n))
 
 
 @pytest.mark.parametrize("n", SMALL_N)
 def test_davenport_search_against_brute(n):
-    engine = dav_engine(n)
-    length = engine.max_free_length()
-    assert length + 1 == brute_davenport(n)
-    assert engine.witness(length) == min(brute_max_product_one_free_multisets(n))
+    found = longest(dav_args(n))
+    assert found.value == brute_davenport(n)
+    assert found.witness == min(brute_max_product_one_free_multisets(n))
 
 
 def test_seeded_probe_schedule_gives_the_same_answer():
     for n in SMALL_N:
-        length = eb_engine(n).max_free_length()
-        engine = eb_engine(n)
-        assert engine.max_free_length(seed=length) == length
-        assert engine.best_true == length
+        found = longest(eb_args(n))
+        assert longest(eb_args(n), floor=found.value) == found
 
 
 def test_forbidden_candidates_are_dropped():
@@ -119,14 +137,15 @@ def test_forbidden_candidates_are_dropped():
     )
     assert only_forbidden.candidates == []
     assert not only_forbidden.exists_free(1)
-    assert only_forbidden.max_free_length() == 0
+    found = longest_free(4, [0, 1], 0b11, 2, 1, 3, SearchBudget())
+    assert (found.value, found.witness) == (1, ())
 
 
 def test_search_leaves_the_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     for n in SMALL_N:
-        eb_engine(n).max_free_length()
-        dav_engine(n).max_free_length()
+        longest(eb_args(n))
+        longest(dav_args(n))
     assert sys.getrecursionlimit() == limit
     with pytest.raises(BudgetExceeded):
         FreeSearch(
@@ -200,49 +219,41 @@ def test_out_of_reach_search_is_refused_before_reading_candidates(n, cap):
         FreeSearch(n, _Unreadable(), 0b11, cap, SearchBudget())
 
 
-def _probes(engine: FreeSearch, seed: int) -> list[int]:
-    lengths = []
-    probe = engine.exists_free
-
-    def counted(r):
-        lengths.append(r)
-        return probe(r)
-
-    engine.exists_free = counted
-    engine.max_free_length(seed=seed)
-    return lengths
-
-
-def test_probes_gallop_from_the_seed_with_no_cap_probe():
+def test_probes_gallop_from_the_seed_with_no_cap_probe(probes):
     # I(12): cap 8, longest free length 3
-    assert _probes(eb_engine(12), seed=3) == [3, 4]
-    assert _probes(eb_engine(12), seed=0) == [1, 2, 3, 4]
+    for floor, schedule in ((4, [3, 4]), (1, [1, 2, 3, 4])):
+        probes.clear()
+        longest(eb_args(12), floor=floor)
+        assert [r for r, _ in probes] == schedule
     # the Davenport search mod 9 (cyclic): cap 5 is the answer, one probe
-    assert _probes(dav_engine(9), seed=5) == [5]
+    probes.clear()
+    longest(dav_args(9), floor=6)
+    assert [r for r, _ in probes] == [5]
 
 
 @pytest.mark.parametrize("n", (6, 9, 10, 12))
-def test_longest_free_never_probes_at_or_past_its_ceiling(monkeypatch, n):
-    verdicts = []
-    real = FreeSearch.exists_free
-
-    def counted(self, r):
-        got = real(self, r)
-        verdicts.append((r, got))
-        return got
-
-    monkeypatch.setattr(FreeSearch, "exists_free", counted)
-    idem = brute_idempotents(n)
-    cap, value = n - len(idem), brute_eb(n)
+def test_longest_free_never_probes_at_or_past_its_ceiling(probes, n):
+    args = eb_args(n)
+    cap, value = args[3], brute_eb(n)
     for floor in (1, value):
         for ceiling in range(value, cap + 2):
-            verdicts.clear()
-            found = longest_free(
-                n, range(n), _mask(idem), cap, floor, ceiling, SearchBudget()
-            )
-            assert found.value == value
-            assert all(r < ceiling for r, _ in verdicts), (floor, ceiling, verdicts)
+            probes.clear()
+            assert longest(args, floor, ceiling).value == value
+            assert all(r < ceiling for r, _ in probes), (floor, ceiling, probes)
     # floor == ceiling: one confirming probe, no refutation
-    verdicts.clear()
-    longest_free(n, range(n), _mask(idem), cap, value, value, SearchBudget())
-    assert verdicts == [(value - 1, True)]
+    probes.clear()
+    longest(args, value, value)
+    assert probes == [(value - 1, True)]
+
+
+@pytest.mark.parametrize("n", (8, 10, 12))
+def test_a_spent_budget_brackets_up_to_the_ceiling(n):
+    # the bracket starts past the longest confirmed length and ends at the
+    # ceiling the caller proved, never at cap + 1 above it
+    args = eb_args(n)
+    value = brute_eb(n)
+    for ceiling in range(value, args[3] + 2):
+        found = longest(args, 1, ceiling, SearchBudget(max_states=1))
+        assert found.value is None and found.states > 0
+        lo, hi = found.bounds
+        assert 1 < lo <= value <= hi == ceiling
