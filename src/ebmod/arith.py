@@ -147,8 +147,8 @@ def is_idempotent(a: int, n: int) -> bool:
 @dataclass(frozen=True)
 class IdempotentSet:
     """All idempotents mod n: sorted members, and the width-n bit mask
-    the search reads, built on first use (at n near MAX_N it would take
-    over 100 GB)."""
+    the closure checks of sequences and certify read, built on first use
+    (at n near MAX_N it would take over 100 GB)."""
 
     n: int
     members: tuple[int, ...]

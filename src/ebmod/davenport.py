@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import certify
 from .arith import factorize
 from .errors import UndecidedError
-from .search import SearchBudget, longest_free
+from .search import Monoid, SearchBudget, longest_free
 from .sequences import ResidueSequence
 from .unitgroup import (
     GroupShape, invariant_generators, totient, unit_group_shape, units
@@ -78,6 +78,20 @@ def _theorem(shape: GroupShape) -> str | None:
     return None
 
 
+def _unit_monoid(n: int) -> Monoid:
+    """The units mod n with 0 adjoined, indexed by increasing residue.
+    Units multiply to units, so a product-set mask is phi(n) + 1 bits
+    wide, not n.  0 is element 0 and no candidate; it keeps the identity
+    at element 1, as in ebconstant's M(n), so the forbidden mask 1 << 1
+    marks a Davenport engine in the tests and in perfbench's tracer.
+    The engine drops the forbidden unit 1 from the candidates."""
+    labels = [0, *units(n)]
+    index = [0] * n
+    for i, a in enumerate(labels):
+        index[a] = i
+    return Monoid(n, labels, index, 1 << 1, range(1, len(labels)))
+
+
 def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportResult:
     """Exact D((Z/nZ)^x): the theorem's value where _theorem cites one,
     else by exhaustive search over canonical unit sequences with
@@ -102,8 +116,9 @@ def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportR
     theorem = _theorem(shape)
     phi = totient(f)
     ceiling = phi if theorem is None else formula
-    # the search drops the forbidden unit 1 from the candidates
-    found = longest_free(n, units(n), 1 << 1, phi - 1, formula, ceiling, budget)
+    found = longest_free(
+        phi + 1, lambda: _unit_monoid(n), phi - 1, formula, ceiling, budget
+    )
     if found.value is not None:
         value, witness = found.value, ResidueSequence(n, found.witness)
         if theorem is not None:

@@ -14,18 +14,49 @@ conjecture_scan maps it over a range.  Outside the proved classes the
 report never asserts equality: it carries certified exact values,
 certified brackets, or an explicit counterexample witness.  Every
 witness passes its ebmod.certify check before it is returned.
+
+eb_exact searches the quotient monoid M(n), not Z/nZ.  Write n as the
+product of its prime powers q = p^k and split a residue r by the CRT.
+In the component Z/qZ send r to its unit part r mod q when p does not
+divide r, and to p^min(v_p(r), k) when it does.  The image is the monoid
+U(q) | {p, ..., p^k}, where units multiply as units, a unit times p^v is
+p^v, and p^a * p^b = p^min(a + b, k).  The map is a homomorphism, and r
+is idempotent mod q (r = 0 or 1 mod q) exactly when its image is
+idempotent there: the unit 1 or p^k, since u^2 = u forces u = 1 and
+p^min(2a, k) = p^a forces a = k.  Both residues of Z/2Z are idempotent,
+so a component q = 2 puts no condition and is dropped.  M(n) is the
+product of the remaining components, with prod (phi(q) + k) elements,
+and r is idempotent mod n exactly when its image in M(n) is.
+
+So a sub-multiset of a residue sequence has an idempotent product
+exactly when its image has, and a sequence is free exactly when its
+image in M(n) is free.  Every sequence of M(n) lifts, so the longest
+free sequences of Z/nZ and of M(n) have one length, and I(n) is I of
+M(n).  For odd m, M(2m) = M(m), so I(2m) = I(m).  A free product set
+lies among the non-idempotent elements, so strict growth caps a free
+length at their number, 32 at n = 48 where n - 2^omega is 44.
+
+The witness stays the lexicographically smallest free residue
+sequence.  Label each element of M(n) with the smallest residue of its
+class, and index the elements in increasing order of label.  Replacing a
+term of a free sequence by its label keeps the image, so keeps it free,
+and no term grows, so the sorted sequence does not grow either.  The
+smallest free sequence of a given length therefore uses labels only, and
+among those the engine's lexicographic order on indices is the order on
+labels.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from math import gcd
 
 from . import certify
-from .arith import Factorization, factorize, idempotents, lift_to_unit
+from .arith import Factorization, factorize, lift_to_unit
 from .davenport import davenport_exact
 from .errors import DomainError, InconsistencyError, UndecidedError
-from .search import SearchBudget, longest_free
+from .search import Monoid, SearchBudget, longest_free
 from .sequences import ResidueSequence, _min_product_one_pick, find_product_one_subsequence
 
 STATUS_EXACT = "exact"
@@ -63,10 +94,48 @@ class EBResult:
     constructed: bool = False
 
 
-def _structure_cap(f: Factorization) -> int:
-    """Strict-growth ceiling: a free product set avoids all 2^omega
-    idempotents, so free length <= n - 2^omega and I <= that + 1."""
-    return f.n - (1 << f.omega)
+def _quotient_size(f: Factorization) -> tuple[int, int]:
+    """|M(n)| = prod (phi(p^k) + k) over the components p^k != 2, and the
+    strict-growth cap, its count of non-idempotent elements (each such
+    component has the two idempotents 1 and p^k).  A free product set
+    avoids the idempotents, so free length <= cap and I <= cap + 1.
+    Both come from the factorization alone."""
+    size = idempotent = 1
+    for p, k in f.factors:
+        if p ** k != 2:
+            size *= p ** (k - 1) * (p - 1) + k
+            idempotent *= 2
+    return size, size - idempotent
+
+
+def _quotient_monoid(f: Factorization) -> Monoid:
+    """M(n), its elements indexed in increasing order of their smallest
+    residue.  A residue's class is its image in every component p^k != 2:
+    its unit part u = r mod p^k when p does not divide r, else
+    gcd(r, p^k) = p^min(v_p(r), k).  An element is idempotent when every
+    component is the unit 1 or p^k."""
+    n = f.n
+    moduli = [(p, p ** k) for p, k in f.factors if p ** k != 2]
+    first: dict[tuple[int, ...], int] = {}
+    labels: list[int] = []
+    index: list[int] = []
+    forbidden = 0
+    for r in range(n):
+        key = tuple(_component(r, p, q) for p, q in moduli)
+        i = first.get(key)
+        if i is None:
+            i = first[key] = len(labels)
+            labels.append(r)
+            if all(c == 1 or c == q for c, (_, q) in zip(key, moduli)):
+                forbidden |= 1 << i
+        index.append(i)
+    return Monoid(n, labels, index, forbidden, range(len(labels)))
+
+
+def _component(r: int, p: int, q: int) -> int:
+    """The image of r in the component U(q) | {p, ..., q} of M(n), q = p^k."""
+    x = r % q
+    return x if x % p else gcd(x, q)
 
 
 def _davenport_or_bounds(n: int, budget: SearchBudget):
@@ -79,7 +148,8 @@ def _davenport_or_bounds(n: int, budget: SearchBudget):
 
 def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
     """Exact I(n): by the paper's theorem in a proved class, else by
-    exhaustive search over canonical residue sequences.
+    exhaustive search over canonical sequences of the quotient monoid
+    M(n) (see the module docstring).
 
     The Davenport side is computed first: it gives the certified floor
     D + Omega - omega and fills davenport (or davenport_bounds) and
@@ -90,18 +160,24 @@ def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
     raises InconsistencyError.  When that walk runs out of budget, or
     the engine's size guards refuse it, the theorem's value stands with
     construct_extremal as the witness.  Otherwise the search gallops
-    from the floor to the strict-growth ceiling.  Idempotent residues
-    are never candidate terms (each is non-free on its own).
+    from the floor to the strict-growth ceiling.  The size and ceiling
+    of M(n) come from the factorization, so the size guards run before
+    its class map is built.  Idempotent classes are never candidate
+    terms (each is non-free on its own).
     """
     f = factorize(n)
-    E = idempotents(n)
     dav, dav_bounds = _davenport_or_bounds(n, budget)
     D = dav.value if dav is not None else None
     lower = (dav_bounds[0] if D is None else D) + f.big_omega - f.omega  # a floor for I
-    cap = _structure_cap(f)
+    size, cap = _quotient_size(f)
     proved = D is not None and _equality_class(f) != "none"
     found = longest_free(
-        n, range(n), E.mask, cap, lower, lower if proved else cap + 1, budget
+        size,
+        lambda: _quotient_monoid(f),
+        cap,
+        lower,
+        lower if proved else cap + 1,
+        budget,
     )
     value, witness, bounds = found.value, None, found.bounds
     constructed = value is None and proved
@@ -110,7 +186,7 @@ def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
         value, witness, bounds = lower, construct_extremal(n, budget), None
     elif value is not None:
         witness = ResidueSequence(n, found.witness)
-        certify.idempotent_product_free(witness, value, E)
+        certify.idempotent_product_free(witness, value)
     return EBResult(
         n=n,
         value=value,
@@ -278,7 +354,9 @@ def verify_theorem(n: int, budget: SearchBudget = SearchBudget()) -> TheoremRepo
     lower, D = eb.lower_bound, eb.davenport
     construction = None
     if D is not None:
-        construction = construct_extremal(n, budget)  # raises on any violation
+        # construct_extremal raises on any violation; eb_exact ran it already
+        # when its witness is the construction
+        construction = eb.witness if eb.constructed else construct_extremal(n, budget)
     note = ""
     if equality_class != "none":
         status = _THEOREM_STATUS[equality_class]

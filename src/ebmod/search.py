@@ -1,9 +1,20 @@
-"""Exhaustive search for maximum-length free sequences mod n.
+"""Exhaustive search for maximum-length free sequences in a finite
+commutative monoid.
 
 Shared engine behind the Davenport constant (forbidden product: 1) and
 the idempotent-product constant (forbidden products: every idempotent).
 A sequence is *free* when no nonempty sub-multiset has a forbidden
 product, i.e. its product set avoids the forbidden bit mask.
+
+The engine sees only the elements 0..size - 1 and a product rule on
+them.  Residues appear at one boundary: a caller describes its monoid
+as residue classes mod n (a Monoid), element i labelled by the smallest
+residue of its class, and longest_free reads the witness back through
+those labels.  Labels increase with the index, so the engine's
+lexicographically smallest sequence of elements is the smallest one of
+labels.  davenport_exact searches the units, eb_exact the quotient
+monoid M(n) of ebconstant; the identity labelling of Z/nZ itself is
+what the tests' independent search runs on.
 
 Key facts the engine leans on:
 
@@ -20,7 +31,7 @@ Key facts the engine leans on:
   popcount(S) + r > cap  =>  no r-term extension exists.
 
 * Forbidden-preimage prefilter.  For each candidate a the engine keeps
-  bad(a) = {s : s*a mod n is forbidden} as one n-bit mask.  Let S be
+  bad(a) = {s : s*a is forbidden} as one size-bit mask.  Let S be
   the product set of a free sequence and T = S | {a} | S*a the product
   set after appending a.  Then T meets the forbidden set exactly when
   a is forbidden or S & bad(a) != 0.  Proof: S avoids the forbidden set
@@ -58,7 +69,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InconsistencyError
 
@@ -80,42 +91,71 @@ class SearchBudget:
     max_seconds: float | None = None
 
 
+class Monoid(NamedTuple):
+    """A finite commutative monoid of residue classes mod n, as a caller
+    hands it to longest_free.  Element i is the class whose smallest
+    residue is labels[i], and labels increase with i.  index maps each
+    residue that a product of two labels can take to its class, so when
+    taking classes is a homomorphism, product() is the monoid's product.
+    forbidden masks the forbidden elements; candidates lists the
+    elements a sequence may use (the engine drops the forbidden ones)."""
+
+    n: int
+    labels: Sequence[int]
+    index: Sequence[int]
+    forbidden: int
+    candidates: Iterable[int]
+
+    def product(self, i: int, j: int) -> int:
+        return self.index[self.labels[i] * self.labels[j] % self.n]
+
+
+def _check_size(size: int, cap: int) -> None:
+    """The engine's size guards: BudgetExceeded when a search over `size`
+    elements, with every free length at most cap, is out of reach.  They
+    read these two numbers only, so they run before any O(size) work."""
+    if cap >= 1 << _LO_SHIFT:
+        raise BudgetExceeded(f"state space of a {size}-element monoid is out of reach")
+    table_cells = cap * ((size + 7) // 8) * 256  # at most one table per candidate
+    if table_cells > 1 << 23:
+        raise BudgetExceeded(
+            f"image tables of a {size}-element monoid could need {table_cells} cells"
+        )
+    # Recursion depth tracks extension length, bounded by cap; the
+    # interpreter's limit is read, never raised.  Both callers pass cap <
+    # size, and the table guard above forces cap * ceil(size/8) <= 32768,
+    # so cap < 512 and the default limit of 1000 never trips this.
+    if cap + 200 > sys.getrecursionlimit():
+        raise BudgetExceeded(f"search depth {cap} exceeds the recursion limit")
+
+
 class FreeSearch:
     """Maximum free-sequence length over `candidates` avoiding
-    `forbidden_mask`, with lexicographically-smallest witness.  cap
-    bounds every free length, so also the number of usable candidates
-    (each is a one-term free sequence); the size guards read cap, before
-    the candidates are read."""
+    `forbidden_mask`, with lexicographically-smallest witness, in the
+    monoid on 0..size - 1 whose product rule is product(s, a).  cap
+    bounds every free length, and it counts at least the usable
+    candidates (each is a one-term free sequence whose product set
+    avoids the forbidden elements); the size guards read size and cap
+    before the candidates are read.  A candidate's image table is built
+    on its first _image, so a walk that tries few candidates builds few
+    tables."""
 
     def __init__(
         self,
-        n: int,
+        size: int,
+        product: Callable[[int, int], int],
         candidates: Iterable[int],
         forbidden_mask: int,
         cap: int,
         budget: SearchBudget,
     ):
-        self.n = n
+        _check_size(size, cap)
+        self.size = size
+        self.product = product
         self.forbidden = forbidden_mask
         self.cap = cap
         self.budget = budget
-        self._nbytes = (n + 7) // 8
-        if cap >= 1 << _LO_SHIFT:
-            raise BudgetExceeded(f"state space for n={n} is out of reach")
-        table_cells = cap * self._nbytes * 256  # at least one table per candidate
-        if table_cells > 1 << 23:
-            raise BudgetExceeded(
-                f"candidate image tables for n={n} need {table_cells} cells"
-            )
-        # Recursion depth tracks extension length, bounded by cap; the
-        # interpreter's limit is read, never raised.  Both callers pass
-        # cap < n, and the table guard above forces cap * ceil(n/8) <=
-        # 32768, so cap < 512 and the default limit of 1000 never trips
-        # this.
-        if cap + 200 > sys.getrecursionlimit():
-            raise BudgetExceeded(
-                f"search depth {cap} for n={n} exceeds the recursion limit"
-            )
+        self._nbytes = (size + 7) // 8
         # a forbidden term is never part of a free sequence
         self.candidates = sorted(a for a in candidates if not forbidden_mask >> a & 1)
         self._floor_shift = (len(self.candidates) + 1).bit_length()
@@ -128,26 +168,25 @@ class FreeSearch:
         )
         self._selfbit = [1 << a for a in self.candidates]
         self._bad = [self._forbidden_preimage(a) for a in self.candidates]
-        self._tables = [self._build_table(a) for a in self.candidates]
+        self._tables: list[list[int] | None] = [None] * len(self.candidates)
 
     def _forbidden_preimage(self, a: int) -> int:
-        """Mask of the residues s with s*a mod n forbidden."""
-        n, forbidden = self.n, self.forbidden
-        return sum(1 << s for s in range(n) if forbidden >> (s * a % n) & 1)
+        """Mask of the elements s with s*a forbidden."""
+        product, forbidden = self.product, self.forbidden
+        return sum(1 << s for s in range(self.size) if forbidden >> product(s, a) & 1)
 
     def _build_table(self, a: int) -> list[int]:
         """Per 8-bit chunk c of a product-set mask, the OR of images
         s -> s*a for every subset b of that chunk, at index c << 8 | b.
         Built incrementally: image(v) = image(v minus lowest bit) |
         image(lowest bit)."""
-        n = self.n
+        size, product = self.size, self.product
         table = [0] * (self._nbytes << 8)
         for c in range(self._nbytes):
             base = 8 * c
             off = c << 8
-            for j in range(8):
-                if base + j < n:
-                    table[off | 1 << j] = 1 << ((base + j) * a % n)
+            for j in range(min(8, size - base)):
+                table[off | 1 << j] = 1 << product(base + j, a)
             for v in range(3, 256):
                 low = v & -v
                 if v != low:
@@ -166,6 +205,8 @@ class FreeSearch:
         """Product set after appending candidates[idx] to a sequence
         whose product set is S, given chunks = self._chunks(S)."""
         tbl = self._tables[idx]
+        if tbl is None:
+            tbl = self._tables[idx] = self._build_table(self.candidates[idx])
         img = S | self._selfbit[idx]
         for cb in chunks:
             img |= tbl[cb]
@@ -276,34 +317,37 @@ class Longest(NamedTuple):
 
 
 def longest_free(
-    n: int,
-    candidates: Iterable[int],
-    forbidden_mask: int,
+    size: int,
+    monoid: Callable[[], Monoid],
     cap: int,
     floor: int,
     ceiling: int,
     budget: SearchBudget,
 ) -> Longest:
-    """One more than the maximum length of a free sequence over
-    `candidates` avoiding `forbidden_mask`, with the lexicographically
-    smallest free sequence of that length.  [floor, ceiling] is a proven
-    bracket for the value: one probe confirms floor - 1, and the gallop
-    then probes upward while the next length is below ceiling, so
-    floor == ceiling runs no refutation (cap bounds every free length,
-    so ceiling = cap + 1 proves nothing more).  A budget that runs out
-    leaves the bracket [length + 1, ceiling], length being the longest
-    the search confirmed (floor - 1 before the first probe)."""
+    """One more than the maximum length of a free sequence in the
+    size-element monoid that monoid() builds, with the lexicographically
+    smallest free sequence of that length, in labels.  The size guards
+    run on size and cap before monoid() is called, so a search out of
+    reach costs no O(n) work.  [floor, ceiling] is a proven bracket for
+    the value: one probe confirms floor - 1, and the gallop then probes
+    upward while the next length is below ceiling, so floor == ceiling
+    runs no refutation (cap bounds every free length, so ceiling = cap +
+    1 proves nothing more).  A budget that runs out leaves the bracket
+    [length + 1, ceiling], length being the longest the search confirmed
+    (floor - 1 before the first probe)."""
     engine = None
     length = floor - 1
     try:
-        engine = FreeSearch(n, candidates, forbidden_mask, cap, budget)
+        _check_size(size, cap)
+        M = monoid()
+        engine = FreeSearch(size, M.product, M.candidates, M.forbidden, cap, budget)
         if length > 0 and not engine.exists_free(length):
             raise InconsistencyError(
-                f"claimed lower bound {length} refuted for n={n}"
+                f"claimed lower bound {length} refuted for n={M.n}"
             )
         while length + 1 < ceiling and engine.exists_free(length + 1):
             length += 1
-        witness = engine.witness(length)
+        witness = tuple(M.labels[i] for i in engine.witness(length))
     except BudgetExceeded as exc:
         states = engine.states_used if engine is not None else 0
         return Longest(None, None, (length + 1, ceiling), str(exc), states)

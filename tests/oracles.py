@@ -4,10 +4,12 @@ Everything here favors obviousness over speed: plain loops, explicit
 enumeration of all 2^len - 1 index subsets, no bitsets, no memoization,
 no pruning beyond what the definitions force.  Only usable at tiny
 scales; the test files pin the scales.  Nothing imports the package
-under test, except the two _searched_* helpers at the end: they are no
-oracles but the package's own full search, galloping up to the
-strict-growth ceiling with no theorem's ceiling, so that tests check a
-theorem's value against the search instead of against itself.
+under test, except the helpers at the end: the two _searched_* are no
+oracles but the package's own engine on the residues themselves (the
+identity labelling of residue_monoid), galloping up to the strict-growth
+ceiling with no theorem's ceiling, so that tests check a theorem's value,
+and the quotient monoid eb_exact searches, against an independent
+search instead of against themselves.
 """
 from __future__ import annotations
 
@@ -141,26 +143,48 @@ def shape_order_multiset(invariant_factors) -> list[int]:
     return sorted(orders) if invariant_factors else [1]
 
 
+def residue_monoid(n: int, forbidden: int, candidates):
+    """Z/nZ itself for the package's engine: the identity labelling,
+    every residue its own element."""
+    from ebmod.search import Monoid
+
+    return Monoid(n, range(n), range(n), forbidden, candidates)
+
+
 def _searched_davenport(n: int):
-    """D((Z/nZ)^x) by the full search: the gallop from the classical
-    formula up to phi(n), where davenport_exact stops at a theorem's value."""
+    """D((Z/nZ)^x) by the full search over the residues: the gallop from
+    the classical formula up to phi(n), where davenport_exact stops at a
+    theorem's value, and searches the units alone."""
     from ebmod.davenport import davenport_formula_bound
     from ebmod.search import SearchBudget, longest_free
     from ebmod.unitgroup import totient, unit_group_shape, units
 
     phi = totient(n)
     formula = davenport_formula_bound(unit_group_shape(n))
-    return longest_free(n, units(n), 1 << 1, phi - 1, formula, phi, SearchBudget())
+    return longest_free(
+        n,
+        lambda: residue_monoid(n, 1 << 1, units(n)),
+        phi - 1,
+        formula,
+        phi,
+        SearchBudget(),
+    )
 
 
 def _searched_eb(n: int, floor: int):
-    """I(n) by the full search: the gallop from floor up to the
-    strict-growth ceiling, where eb_exact stops at the theorem's value in
-    the proved classes."""
+    """I(n) by the full search over the residues: the gallop from floor up
+    to the strict-growth ceiling n - 2^omega + 1, where eb_exact searches
+    the quotient monoid M(n) and stops at the theorem's value in the
+    proved classes."""
     from ebmod.arith import factorize, idempotents
     from ebmod.search import SearchBudget, longest_free
 
     cap = n - (1 << factorize(n).omega)
     return longest_free(
-        n, range(n), idempotents(n).mask, cap, floor, cap + 1, SearchBudget()
+        n,
+        lambda: residue_monoid(n, idempotents(n).mask, range(n)),
+        cap,
+        floor,
+        cap + 1,
+        SearchBudget(),
     )

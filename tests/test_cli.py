@@ -295,31 +295,31 @@ def test_parse_error_messages(capsys):
 
 
 def test_verify_and_scan_agree_when_the_confirming_search_runs_out(capsys):
-    """n = 46 = 2*23 is squarefree, so the theorem gives I(46) = D = 22
+    """n = 102 = 2*3*17 is squarefree, so the theorem gives I(102) = D = 17
     even when the I(n) search that would confirm it hits its budget;
     eb, verify and scan all report that value."""
     budget = SearchBudget(max_states=20000)
-    rep = verify_theorem(46, budget)
-    assert (rep.eb_value, rep.eb_bounds, rep.equality_holds) == (22, None, True)
+    rep = verify_theorem(102, budget)
+    assert (rep.eb_value, rep.eb_bounds, rep.equality_holds) == (17, None, True)
     assert rep.note == "search confirmation hit budget; value is theorem-exact"
-    assert list(conjecture_scan(46, 46, budget)) == [rep]
-    eb = eb_exact(46, budget)
+    assert list(conjecture_scan(102, 102, budget)) == [rep]
+    eb = eb_exact(102, budget)
     assert (eb.value, eb.status, eb.bounds) == (rep.eb_value, STATUS_EXACT, None)
     assert eb.constructed
     assert eb.witness.as_tuple() == rep.witness
     code, out, _ = run_cli(
-        capsys, "verify", "46", "--max-states", "20000", "--strict", "--format", "json"
+        capsys, "verify", "102", "--max-states", "20000", "--strict", "--format", "json"
     )
     assert code == 0
     res = json.loads(out)["results"]
-    assert (res["eb_value"], res["eb_bounds"], res["equality_holds"]) == (22, None, True)
+    assert (res["eb_value"], res["eb_bounds"], res["equality_holds"]) == (17, None, True)
     assert res["notes"] == [rep.note]
     code, out, _ = run_cli(
-        capsys, "eb", "46", "--max-states", "20000", "--strict", "--format", "json"
+        capsys, "eb", "102", "--max-states", "20000", "--strict", "--format", "json"
     )
     assert code == 0
     res = json.loads(out)["results"]
-    assert (res["eb_value"], res["status"]) == (22, STATUS_EXACT)
+    assert (res["eb_value"], res["status"]) == (17, STATUS_EXACT)
     assert "bounds" not in res and res["witness"] == list(rep.witness)
 
 

@@ -8,7 +8,8 @@ import pytest
 
 import ebmod.davenport as dav_mod
 import ebmod.ebconstant as ebc_mod
-from ebmod.arith import factorize, idempotents, is_idempotent
+import ebmod.unitgroup as ug_mod
+from ebmod.arith import IdempotentSet, factorize, idempotents, is_idempotent
 from ebmod.davenport import davenport_exact
 from ebmod.ebconstant import (
     SCAN_CONJECTURE_VERIFIED,
@@ -19,6 +20,7 @@ from ebmod.ebconstant import (
     STATUS_UNDECIDED,
     conjecture_scan,
     construct_extremal,
+    _quotient_monoid,
     eb_exact,
     extract_witness_prime_power,
     extract_witness_squarefree,
@@ -90,6 +92,68 @@ def test_eb_value_vs_lower_bound_and_cap():
             assert found.value == r.value == r.lower_bound
 
 
+# every n <= 40 outside the proved classes, and the two quotients of the
+# benchmark's frontier that differ from Z/nZ
+OUTSIDE_N = tuple(
+    n for n in range(2, 41) if factorize(n).omega > 1 and not factorize(n).is_squarefree
+) + (45, 48)
+
+
+@pytest.mark.parametrize("n", OUTSIDE_N)
+def test_quotient_search_matches_the_residue_search(n):
+    # eb_exact searches M(n); the independent search runs over Z/nZ itself
+    r = eb_exact(n)
+    found = _searched_eb(n, r.lower_bound)
+    assert (r.value, r.witness.as_tuple()) == (found.value, found.witness)
+
+
+def test_twice_an_odd_modulus_has_the_same_constant():
+    # I(2m) = I(m) for odd m: the Z/2 component of M(2m) drops out.  The
+    # search over Z/2mZ itself checks it while it is fast.
+    for m in range(3, 26, 2):
+        r = eb_exact(2 * m)
+        assert r.value == eb_exact(m).value, m
+        if m <= 21:
+            assert _searched_eb(2 * m, r.lower_bound).value == r.value, m
+
+
+def test_out_of_reach_rows_are_undecided_before_any_linear_work(monkeypatch):
+    def boom(*args):
+        raise AssertionError("O(n) work before the size guards")
+
+    for mod in (ug_mod, dav_mod):
+        monkeypatch.setattr(mod, "units", boom)
+    monkeypatch.setattr(ebc_mod, "_quotient_monoid", boom)
+    monkeypatch.setattr(IdempotentSet, "mask", property(boom))
+    monkeypatch.setattr(dav_mod, "_cache", {})
+    with pytest.raises(UndecidedError) as info:
+        davenport_exact(10000019)  # a prime: Olson's theorem closes the bracket
+    assert info.value.bounds == (10000018, 10000018)
+    r = eb_exact(999999999999)  # 3^3 * 7 * 11 * 13 * 37 * 101 * 9901
+    assert r.status == STATUS_UNDECIDED and r.value is None
+    assert r.davenport is None and r.davenport_bounds is not None
+
+
+def test_verify_theorem_builds_the_construction_once(monkeypatch):
+    calls = []
+    real = ebc_mod.construct_extremal
+
+    def counted(n, budget=SearchBudget()):
+        calls.append(n)
+        return real(n, budget)
+
+    monkeypatch.setattr(ebc_mod, "construct_extremal", counted)
+    budget = SearchBudget(max_states=20000)
+    # 570's witness walk decides; 102's runs out, so eb_exact's witness is
+    # the construction, which verify_theorem reuses
+    for n, value, constructed in ((570, 38, False), (102, 17, True)):
+        calls.clear()
+        rep = verify_theorem(n, budget)
+        assert calls == [n]
+        assert rep.eb_value == rep.lower_bound == value and rep.lower_bound_certified
+        assert eb_exact(n, budget).constructed is constructed
+
+
 def _eb_verdicts(monkeypatch) -> list[tuple[int, bool]]:
     """(length, verdict) of every probe an I(n) engine answers."""
     verdicts = []
@@ -121,7 +185,11 @@ def test_proved_class_rows_run_no_refutation(monkeypatch):
 def test_rows_outside_the_proved_classes_refute_once(monkeypatch, n):
     verdicts = _eb_verdicts(monkeypatch)
     r = eb_exact(n)
-    assert [length for length, got in verdicts if not got] == [r.value]
+    # one refutation, at the value, unless the strict-growth cap proves it:
+    # M(18) = M(9) has 6 non-idempotent elements, so I(18) <= 7 = its floor
+    cap = ebc_mod._quotient_size(factorize(n))[1]
+    refuted = [] if r.value == cap + 1 else [r.value]
+    assert [length for length, got in verdicts if not got] == refuted
 
 
 def test_a_theorem_floor_that_is_too_high_is_refuted(monkeypatch):
@@ -144,7 +212,8 @@ def test_eb_undecided_at_tiny_budget():
     assert r.value is None and r.witness is None
     lo, hi = r.bounds
     assert lo <= hi
-    assert hi == 168 - 8 + 1  # strict-growth ceiling for three prime factors
+    # strict-growth ceiling in M(168): (4 + 3) * 3 * 7 = 147 classes, 8 idempotent
+    assert hi == 147 - 8 + 1
 
 
 # n = 11 is left out: brute_eb(11) is out of reach
@@ -174,11 +243,12 @@ def test_tiny_budget_brackets_contain_brute_values(monkeypatch, max_states):
             assert r.value == brute_eb(n)
 
 
-@pytest.mark.parametrize("n, max_states", ((8, 16), (10, 16), (12, 32)))
+@pytest.mark.parametrize("n, max_states", ((8, 8), (10, 1), (12, 32)))
 def test_undecided_bracket_uses_lengths_the_search_proved(monkeypatch, n, max_states):
     # With the Davenport floor weakened to 1, the bracket's low end can
     # only come from the free lengths the I(n) search proved before its
-    # budget ran out.
+    # budget ran out.  The budgets bind in M(n): M(8) has 7 elements and
+    # M(10) = Z/5Z, so 16 states decide both.
     monkeypatch.setattr(
         ebc_mod, "_davenport_or_bounds", lambda m, budget: (None, (1, m))
     )
@@ -202,9 +272,9 @@ def _engine_masks(monkeypatch) -> list[int]:
     masks = []
     real_init = FreeSearch.__init__
 
-    def counting_init(self, n, candidates, forbidden_mask, cap, budget):
+    def counting_init(self, size, product, candidates, forbidden_mask, cap, budget):
         masks.append(forbidden_mask)
-        real_init(self, n, candidates, forbidden_mask, cap, budget)
+        real_init(self, size, product, candidates, forbidden_mask, cap, budget)
 
     monkeypatch.setattr(FreeSearch, "__init__", counting_init)
     return masks
@@ -217,7 +287,7 @@ def test_verify_theorem_runs_one_davenport_search(monkeypatch):
     dav_mod._cache.pop(168, None)
     rep = verify_theorem(168, SearchBudget(max_states=500))
     assert (rep.davenport, rep.davenport_bounds) == (None, (9, 48))
-    assert sorted(masks) == [1 << 1, idempotents(168).mask]
+    assert sorted(masks) == [1 << 1, _quotient_monoid(factorize(168)).forbidden]
 
 
 def test_verify_theorem_walks_a_spent_davenport_side_once(monkeypatch):
@@ -228,7 +298,7 @@ def test_verify_theorem_walks_a_spent_davenport_side_once(monkeypatch):
     monkeypatch.setattr(dav_mod, "_cache", {})
     rep = verify_theorem(85, SearchBudget(max_states=500))
     assert rep.davenport == 19 and rep.lower_bound_certified
-    assert sorted(masks) == [1 << 1, idempotents(85).mask]
+    assert sorted(masks) == [1 << 1, _quotient_monoid(factorize(85)).forbidden]
 
 
 def test_construct_examples():

@@ -1,8 +1,10 @@
 """FreeSearch pinned directly against the brute-force oracles.
 
 Both forbidden kinds are covered: the idempotents (the I(n) search) and
-the single residue 1 (the Davenport search).  The engines here are
-built from oracle data only, so no other ebmod layer is involved.
+the single residue 1 (the Davenport search).  Most engines here run on
+the residues themselves, built from oracle data only, so no other ebmod
+layer is involved; the quotient monoid M(n) of ebconstant is pinned
+against the same oracles at the end.
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ from math import gcd
 
 import pytest
 
+from ebmod.arith import factorize
+from ebmod.ebconstant import _quotient_monoid, _quotient_size
 from ebmod.errors import BudgetExceeded
 from ebmod.search import FreeSearch, SearchBudget, longest_free
 
@@ -23,6 +27,7 @@ from oracles import (
     brute_max_free_multisets,
     brute_max_product_one_free_multisets,
     brute_product_set,
+    residue_monoid,
 )
 
 # n = 11 is left out: the length-10 refutations are out of reach for
@@ -49,21 +54,42 @@ def dav_args(n: int) -> tuple:
     return n, units, 1 << 1, len(units) - 1
 
 
+def times(n: int):
+    """The product rule of Z/nZ on the identity labelling."""
+    return lambda s, a: s * a % n
+
+
+def residue_engine(args: tuple) -> FreeSearch:
+    n, candidates, forbidden, cap = args
+    return FreeSearch(n, times(n), candidates, forbidden, cap, SearchBudget())
+
+
 def eb_engine(n: int) -> FreeSearch:
-    return FreeSearch(*eb_args(n), SearchBudget())
+    return residue_engine(eb_args(n))
 
 
 def dav_engine(n: int) -> FreeSearch:
-    return FreeSearch(*dav_args(n), SearchBudget())
+    return residue_engine(dav_args(n))
+
+
+def quotient_engine(n: int) -> FreeSearch:
+    """The I(n) engine over M(n), as eb_exact builds it."""
+    M = _quotient_monoid(factorize(n))
+    return FreeSearch(
+        len(M.labels), M.product, M.candidates, M.forbidden,
+        _quotient_size(factorize(n))[1], SearchBudget(),
+    )
 
 
 def longest(args: tuple, floor: int = 1, ceiling: int | None = None, budget=SearchBudget()):
-    """longest_free on those arguments, bracketed by [floor, ceiling]
-    (ceiling defaults to cap + 1, which proves nothing)."""
+    """longest_free on those arguments over the residues, bracketed by
+    [floor, ceiling] (ceiling defaults to cap + 1, which proves nothing)."""
     n, candidates, forbidden, cap = args
     if ceiling is None:
         ceiling = cap + 1
-    return longest_free(n, candidates, forbidden, cap, floor, ceiling, budget)
+    return longest_free(
+        n, lambda: residue_monoid(n, forbidden, candidates), cap, floor, ceiling, budget
+    )
 
 
 @pytest.fixture
@@ -82,13 +108,13 @@ def probes(monkeypatch) -> list[tuple[int, bool]]:
 
 
 @functools.cache
-def _reference_tables(n: int, a: int) -> list[list[int]]:
+def _reference_tables(size: int, product, a: int) -> list[list[int]]:
     tables = []
-    for c in range((n + 7) // 8):
+    for c in range((size + 7) // 8):
         row = [0] * 256
         for j in range(8):
-            if 8 * c + j < n:
-                row[1 << j] = 1 << ((8 * c + j) * a % n)
+            if 8 * c + j < size:
+                row[1 << j] = 1 << product(8 * c + j, a)
         for v in range(3, 256):
             low = v & -v
             if v != low:
@@ -97,13 +123,13 @@ def _reference_tables(n: int, a: int) -> list[list[int]]:
     return tables
 
 
-def reference_image(n: int, a: int, S: int) -> int:
+def reference_image(engine: FreeSearch, a: int, S: int) -> int:
     """Product set after appending a to a sequence with product set S,
     the way the engine once computed it: per-chunk tables indexed
-    [chunk][byte], and S split into bytes on every call."""
-    tables = _reference_tables(n, a)
+    [chunk][byte], built up front, and S split into bytes on every call."""
+    tables = _reference_tables(engine.size, engine.product, a)
     img = 1 << a
-    for c, b in enumerate(S.to_bytes((n + 7) // 8, "little")):
+    for c, b in enumerate(S.to_bytes((engine.size + 7) // 8, "little")):
         if b:
             img |= tables[c][b]
     return S | img
@@ -123,6 +149,36 @@ def test_davenport_search_against_brute(n):
     assert found.witness == min(brute_max_product_one_free_multisets(n))
 
 
+@pytest.mark.parametrize("n", SMALL_N)
+def test_quotient_search_against_brute(n):
+    # M(n) searched with no theorem's help: brute_eb's value, and the
+    # lexicographically smallest maximum free residue sequence
+    f = factorize(n)
+    size, cap = _quotient_size(f)
+    found = longest_free(
+        size, lambda: _quotient_monoid(f), cap, 1, cap + 1, SearchBudget()
+    )
+    assert found.value == brute_eb(n)
+    assert found.witness == min(brute_max_free_multisets(n))
+
+
+@pytest.mark.parametrize("n", range(2, 73))
+def test_quotient_is_a_homomorphism_that_reflects_idempotents(n):
+    f = factorize(n)
+    M = _quotient_monoid(f)
+    size, cap = _quotient_size(f)
+    assert len(M.labels) == size and cap == size - M.forbidden.bit_count()
+    assert list(M.labels) == sorted(M.labels)
+    assert all(M.index[r] == i for i, r in enumerate(M.labels))
+    assert all(M.labels[M.index[r]] <= r for r in range(n))  # smallest member
+    for r in range(n):
+        assert bool(M.forbidden >> M.index[r] & 1) == (r * r % n == r)
+        for s in range(n):
+            assert M.index[r * s % n] == M.product(M.index[r], M.index[s])
+    if n % 4 == 2 and n > 2:  # the Z/2 component drops: M(2m) = M(m) for odd m
+        assert size == _quotient_size(factorize(n // 2))[0]
+
+
 def test_seeded_probe_schedule_gives_the_same_answer():
     for n in SMALL_N:
         found = longest(eb_args(n))
@@ -132,12 +188,10 @@ def test_seeded_probe_schedule_gives_the_same_answer():
 def test_forbidden_candidates_are_dropped():
     engine = eb_engine(12)
     assert engine.candidates == [a for a in range(12) if a not in (0, 1, 4, 9)]
-    only_forbidden = FreeSearch(
-        n=4, candidates=[0, 1], forbidden_mask=0b11, cap=2, budget=SearchBudget()
-    )
+    only_forbidden = residue_engine((4, [0, 1], 0b11, 2))
     assert only_forbidden.candidates == []
     assert not only_forbidden.exists_free(1)
-    found = longest_free(4, [0, 1], 0b11, 2, 1, 3, SearchBudget())
+    found = longest((4, [0, 1], 0b11, 2), 1, 3)
     assert (found.value, found.witness) == (1, ())
 
 
@@ -148,13 +202,7 @@ def test_search_leaves_the_recursion_limit_alone():
         longest(dav_args(n))
     assert sys.getrecursionlimit() == limit
     with pytest.raises(BudgetExceeded):
-        FreeSearch(
-            n=12,
-            candidates=list(range(12)),
-            forbidden_mask=_mask((0, 1, 4, 9)),
-            cap=limit,
-            budget=SearchBudget(),
-        )
+        residue_engine((12, list(range(12)), _mask((0, 1, 4, 9)), limit))
     assert sys.getrecursionlimit() == limit
 
 
@@ -175,34 +223,51 @@ def _random_free_sequences(n, candidates, forbidden, rng, count, max_len):
 
 @pytest.mark.parametrize(
     "n, kind",
-    [(12, "eb"), (20, "eb"), (30, "eb"), (36, "eb"), (15, "dav"), (21, "dav"), (24, "dav")],
+    [(12, "eb"), (20, "eb"), (30, "eb"), (36, "eb"), (15, "dav"), (21, "dav"), (24, "dav"),
+     (18, "M"), (36, "M"), (48, "M")],
 )
 def test_prefilter_and_image_match_brute_product_sets(n, kind):
-    engine = eb_engine(n) if kind == "eb" else dav_engine(n)
-    forbidden = set(brute_idempotents(n)) if kind == "eb" else {1}
+    # kind M: the I(n) engine over the quotient monoid, whose elements are
+    # classes of residues; a product set there is the set of classes of
+    # the brute product set's residues
+    engine = {"eb": eb_engine, "dav": dav_engine, "M": quotient_engine}[kind](n)
+    forbidden = set(brute_idempotents(n)) if kind != "dav" else {1}
+    M = _quotient_monoid(factorize(n))
+    labels, cls = (M.labels, M.index) if kind == "M" else (range(n), range(n))
     rng = random.Random(n)
     sequences = _random_free_sequences(
-        n, engine.candidates, forbidden, rng, count=25, max_len=7
+        n, [labels[a] for a in engine.candidates], forbidden, rng, count=25, max_len=7
     )
     for seq in sequences:
-        S = _mask(brute_product_set(seq, n)) if seq else 0
+        S = _mask(cls[r] for r in brute_product_set(seq, n)) if seq else 0
         chunks = engine._chunks(S)
         for idx, a in enumerate(engine.candidates):
-            extended = brute_product_set(seq + (a,), n)
+            extended = brute_product_set(seq + (labels[a],), n)
             assert bool(S & engine._bad[idx]) == bool(extended & forbidden)
             image = engine._image(S, chunks, idx)
-            assert image == reference_image(n, a, S) == _mask(extended)
+            assert image == reference_image(engine, a, S)
+            assert image == _mask(cls[r] for r in extended)
 
 
-@pytest.mark.parametrize("n", (7, 12, 33, 64))
+@pytest.mark.parametrize("n", (7, 12, 18, 33, 64, 72))
 def test_image_matches_reference_on_arbitrary_masks(n):
-    engine = eb_engine(n)
-    rng = random.Random(1000 + n)
-    for _ in range(50):
-        S = rng.getrandbits(n)
-        chunks = engine._chunks(S)
-        for idx, a in enumerate(engine.candidates):
-            assert engine._image(S, chunks, idx) == reference_image(n, a, S)
+    # over the residues and over M(n): a proper quotient at 18 (the Z/2
+    # component drops), 64 and 72
+    for engine in (eb_engine(n), quotient_engine(n)):
+        rng = random.Random(1000 + n)
+        for _ in range(50):
+            S = rng.getrandbits(engine.size)
+            chunks = engine._chunks(S)
+            for idx, a in enumerate(engine.candidates):
+                assert engine._image(S, chunks, idx) == reference_image(engine, a, S)
+
+
+def test_image_tables_are_built_on_first_use():
+    engine = eb_engine(36)
+    assert engine._tables == [None] * len(engine.candidates)
+    assert engine.exists_free(3)
+    built = sum(t is not None for t in engine._tables)
+    assert 0 < built < len(engine.candidates)
 
 
 class _Unreadable:
@@ -216,7 +281,16 @@ class _Unreadable:
 def test_out_of_reach_search_is_refused_before_reading_candidates(n, cap):
     # the first exceeds the state-space guard, the second the table guard
     with pytest.raises(BudgetExceeded):
-        FreeSearch(n, _Unreadable(), 0b11, cap, SearchBudget())
+        FreeSearch(n, times(n), _Unreadable(), 0b11, cap, SearchBudget())
+
+
+def test_longest_free_builds_no_monoid_the_guards_refuse():
+    def unbuildable():
+        raise AssertionError("monoid built before the size guards ran")
+
+    found = longest_free(2_000_000, unbuildable, 1_999_000, 1, 1_999_001, SearchBudget())
+    assert found.value is None and found.states == 0
+    assert found.bounds == (1, 1_999_001)
 
 
 def test_probes_gallop_from_the_seed_with_no_cap_probe(probes):
