@@ -36,13 +36,11 @@ from .ebconstant import (
 from .errors import DomainError, InconsistencyError, UndecidedError
 from .search import SearchBudget
 from .sequences import (
-    ProductSet,
     ResidueSequence,
     find_product_one_subsequence,
     is_idempotent_product_free,
     pi,
     product_set,
-    running_product_sets,
 )
 from .unitgroup import GroupShape, totient, unit_group_shape, units
 
@@ -56,7 +54,6 @@ __all__ = [
     "GroupShape",
     "IdempotentSet",
     "InconsistencyError",
-    "ProductSet",
     "ResidueSequence",
     "SearchBudget",
     "TheoremReport",
@@ -77,7 +74,6 @@ __all__ = [
     "lift_to_unit",
     "pi",
     "product_set",
-    "running_product_sets",
     "totient",
     "unit_group_shape",
     "units",

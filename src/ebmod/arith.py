@@ -34,7 +34,7 @@ def _is_prime(m: int) -> bool:
     m < 3.3e24, far beyond MAX_N."""
     if m < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if m % p == 0:
             return m == p
     d = m - 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import IdempotentSet, is_idempotent
+from .arith import idempotents, is_idempotent
 from .errors import InconsistencyError
 from .sequences import (
     ResidueSequence, _closure_step, is_idempotent_product_free, pi, product_set
@@ -33,30 +33,29 @@ def product_one_free(T: ResidueSequence, value: int) -> None:
     if any(gcd(a, T.n) != 1 for a in T):
         raise InconsistencyError(f"witness for n={T.n} contains a non-unit")
     _check_length(T, value)
-    if len(T) > 0 and 1 in product_set(T):
+    if len(T) > 0 and product_set(T) >> 1 & 1:
         raise InconsistencyError(f"witness for n={T.n} is not product-one free")
 
 
-def idempotent_product_free(
-    T: ResidueSequence, value: int | None = None, E: IdempotentSet | None = None
-) -> None:
+def idempotent_product_free(T: ResidueSequence, value: int | None = None) -> None:
     """No nonempty sub-multiset of T has an idempotent product; with a
     claimed value, T also has its length value - 1, so I(n) >= value."""
     if value is not None:
         _check_length(T, value)
-    if len(T) > 0 and not is_idempotent_product_free(T, E):
+    if len(T) > 0 and not is_idempotent_product_free(T):
         raise InconsistencyError(
             f"witness for n={T.n} is not idempotent-product free"
         )
 
 
-def no_free_extension(T: ResidueSequence, E: IdempotentSet) -> int:
+def no_free_extension(T: ResidueSequence) -> int:
     """T is maximal: appending any non-idempotent residue a puts an
     idempotent into the product set.  Runs through the closure step, not
     the search tables, so it checks the search independently.  Returns
     the number of extensions checked, n - 2^omega."""
     n = T.n
-    S = product_set(T).mask
+    E = idempotents(n)
+    S = product_set(T)
     for a in range(n):
         if a not in E and not _closure_step(S, a, n) & E.mask:
             raise InconsistencyError(f"witness for n={n} extends by {a} and stays free")

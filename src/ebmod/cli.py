@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
     if rep.eb_value is not None and rep.witness is not None:
         # a maximum witness: every one-term extension must break freeness
         T = ResidueSequence(rep.n, rep.witness)
-        checked = certify.no_free_extension(T, idempotents(rep.n))
+        checked = certify.no_free_extension(T)
     results = _fields(
         rep,
         _VERIFY_FIELDS,

@@ -9,8 +9,9 @@ product, i.e. its product set avoids the forbidden bit mask.
 The engine sees only the elements 0..size - 1 and a product rule on
 them.  Residues appear at one boundary: a caller describes its monoid
 as residue classes mod n (a Monoid), element i labelled by the smallest
-residue of its class, and longest_free reads the witness back through
-those labels.  Labels increase with the index, so the engine's
+residue of its class; the engine reads its size, product, forbidden
+mask and candidates, and longest_free reads the witness back through
+its labels.  Labels increase with the index, so the engine's
 lexicographically smallest sequence of elements is the smallest one of
 labels.  davenport_exact searches the units, eb_exact the quotient
 monoid M(n) of ebconstant; the identity labelling of Z/nZ itself is
@@ -60,8 +61,10 @@ theorem's I(n)), one confirming probe is the whole search: it walks
 the lexicographically smallest path, which the witness then reads from
 the memo, and no refutation runs.
 
-longest_free is the one routine that builds and runs an engine; both
-davenport_exact and eb_exact take their value and witness, or the
+longest_free is the one routine that builds and runs an engine, and the
+one place the size guards run: on the monoid's size and cap, before the
+monoid is built, so the engine it then hands that Monoid runs none.
+Both davenport_exact and eb_exact take their value and witness, or the
 bracket the search proved when its budget ran out, from it.
 """
 from __future__ import annotations
@@ -130,34 +133,25 @@ def _check_size(size: int, cap: int) -> None:
 
 
 class FreeSearch:
-    """Maximum free-sequence length over `candidates` avoiding
-    `forbidden_mask`, with lexicographically-smallest witness, in the
-    monoid on 0..size - 1 whose product rule is product(s, a).  cap
-    bounds every free length, and it counts at least the usable
-    candidates (each is a one-term free sequence whose product set
-    avoids the forbidden elements); the size guards read size and cap
-    before the candidates are read.  A candidate's image table is built
-    on its first _image, so a walk that tries few candidates builds few
-    tables."""
+    """Maximum free-sequence length over the candidates of `monoid`
+    avoiding its forbidden mask, with lexicographically-smallest
+    witness, in the monoid on 0..size - 1 whose product rule is
+    monoid.product.  cap bounds every free length, and it counts at
+    least the usable candidates (each is a one-term free sequence whose
+    product set avoids the forbidden elements).  The size guards are not
+    run here: longest_free runs them before it builds the monoid.  A
+    candidate's image table is built on its first _image, so a walk
+    that tries few candidates builds few tables."""
 
-    def __init__(
-        self,
-        size: int,
-        product: Callable[[int, int], int],
-        candidates: Iterable[int],
-        forbidden_mask: int,
-        cap: int,
-        budget: SearchBudget,
-    ):
-        _check_size(size, cap)
-        self.size = size
-        self.product = product
-        self.forbidden = forbidden_mask
+    def __init__(self, monoid: Monoid, cap: int, budget: SearchBudget):
+        self.size = size = len(monoid.labels)
+        self.product = monoid.product
+        self.forbidden = forbidden = monoid.forbidden
         self.cap = cap
         self.budget = budget
         self._nbytes = (size + 7) // 8
         # a forbidden term is never part of a free sequence
-        self.candidates = sorted(a for a in candidates if not forbidden_mask >> a & 1)
+        self.candidates = sorted(a for a in monoid.candidates if not forbidden >> a & 1)
         self._floor_shift = (len(self.candidates) + 1).bit_length()
         self._memo: dict[int, int] = {}
         self._states = 0
@@ -340,7 +334,7 @@ def longest_free(
     try:
         _check_size(size, cap)
         M = monoid()
-        engine = FreeSearch(size, M.product, M.candidates, M.forbidden, cap, budget)
+        engine = FreeSearch(M, cap, budget)
         if length > 0 and not engine.exists_free(length):
             raise InconsistencyError(
                 f"claimed lower bound {length} refuted for n={M.n}"

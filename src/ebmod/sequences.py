@@ -19,10 +19,9 @@ than caller discipline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .arith import IdempotentSet, idempotents
+from .arith import idempotents
 from .errors import DomainError
 
 
@@ -61,34 +60,6 @@ class ResidueSequence:
         return f"ResidueSequence({self.n}, {self.as_tuple()})"
 
 
-@dataclass(frozen=True)
-class ProductSet:
-    """All nonempty-subsequence products of some sequence, as a width-n
-    bit vector plus conveniences."""
-
-    n: int
-    mask: int
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
-
-    def __contains__(self, a: int) -> bool:
-        return 0 <= a < self.n and (self.mask >> a) & 1 == 1
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-
 def _closure_step(mask: int, a: int, n: int) -> int:
     """One term added: S -> S | {a} | S*a."""
     img = 1 << a
@@ -110,39 +81,23 @@ def pi(T: ResidueSequence) -> int:
     return p
 
 
-def product_set(T: ResidueSequence) -> ProductSet:
-    """Set of products over all nonempty sub-multisets of T."""
+def product_set(T: ResidueSequence) -> int:
+    """Set of products over all nonempty sub-multisets of T, as a
+    width-n bit mask (bit a set iff a is such a product)."""
     mask = 0
     for a in T:
         mask = _closure_step(mask, a, T.n)
-    return ProductSet(n=T.n, mask=mask)
+    return mask
 
 
-def running_product_sets(T: ResidueSequence) -> list[ProductSet]:
-    """Product sets after each term in canonical order; along any
-    idempotent-product-free sequence these strictly grow (grow-or-some-
-    power-turns-idempotent argument)."""
-    out = []
-    mask = 0
-    for a in T:
-        mask = _closure_step(mask, a, T.n)
-        out.append(ProductSet(n=T.n, mask=mask))
-    return out
-
-
-def is_idempotent_product_free(
-    T: ResidueSequence, E: IdempotentSet | None = None
-) -> bool:
+def is_idempotent_product_free(T: ResidueSequence) -> bool:
     """True iff product_set(T) avoids every idempotent.  Early exit on
     the first idempotent product."""
-    if E is None:
-        E = idempotents(T.n)
-    elif E.n != T.n:
-        raise DomainError(f"modulus mismatch: sequence {T.n}, idempotents {E.n}")
+    E = idempotents(T.n).mask
     mask = 0
     for a in T:
         mask = _closure_step(mask, a, T.n)
-        if mask & E.mask:
+        if mask & E:
             return False
     return True
 

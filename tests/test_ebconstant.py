@@ -32,7 +32,7 @@ from ebmod.sequences import (
     ResidueSequence,
     is_idempotent_product_free,
     pi,
-    running_product_sets,
+    product_set,
 )
 
 from oracles import _searched_eb, brute_davenport, brute_eb, brute_is_free
@@ -272,9 +272,9 @@ def _engine_masks(monkeypatch) -> list[int]:
     masks = []
     real_init = FreeSearch.__init__
 
-    def counting_init(self, size, product, candidates, forbidden_mask, cap, budget):
-        masks.append(forbidden_mask)
-        real_init(self, size, product, candidates, forbidden_mask, cap, budget)
+    def counting_init(self, monoid, cap, budget):
+        masks.append(monoid.forbidden)
+        real_init(self, monoid, cap, budget)
 
     monkeypatch.setattr(FreeSearch, "__init__", counting_init)
     return masks
@@ -443,8 +443,11 @@ def test_scan_checks_its_range_before_any_row_is_requested():
 def test_strict_growth_along_witnesses():
     for n in (4, 6, 9, 12, 16, 18, 25, 27, 30):
         r = eb_exact(n)
-        sets = running_product_sets(r.witness)
-        sizes = [len(s) for s in sets]
+        terms = r.witness.as_tuple()
+        sets = [
+            product_set(ResidueSequence(n, terms[:i])) for i in range(1, len(terms) + 1)
+        ]
+        sizes = [s.bit_count() for s in sets]
         assert sizes == sorted(set(sizes))
         E = idempotents(n)
-        assert all(s.mask & E.mask == 0 for s in sets)
+        assert all(s & E.mask == 0 for s in sets)

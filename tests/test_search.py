@@ -17,7 +17,7 @@ import pytest
 
 from ebmod.arith import factorize
 from ebmod.ebconstant import _quotient_monoid, _quotient_size
-from ebmod.errors import BudgetExceeded
+from ebmod import search
 from ebmod.search import FreeSearch, SearchBudget, longest_free
 
 from oracles import (
@@ -54,14 +54,9 @@ def dav_args(n: int) -> tuple:
     return n, units, 1 << 1, len(units) - 1
 
 
-def times(n: int):
-    """The product rule of Z/nZ on the identity labelling."""
-    return lambda s, a: s * a % n
-
-
 def residue_engine(args: tuple) -> FreeSearch:
     n, candidates, forbidden, cap = args
-    return FreeSearch(n, times(n), candidates, forbidden, cap, SearchBudget())
+    return FreeSearch(residue_monoid(n, forbidden, candidates), cap, SearchBudget())
 
 
 def eb_engine(n: int) -> FreeSearch:
@@ -74,11 +69,8 @@ def dav_engine(n: int) -> FreeSearch:
 
 def quotient_engine(n: int) -> FreeSearch:
     """The I(n) engine over M(n), as eb_exact builds it."""
-    M = _quotient_monoid(factorize(n))
-    return FreeSearch(
-        len(M.labels), M.product, M.candidates, M.forbidden,
-        _quotient_size(factorize(n))[1], SearchBudget(),
-    )
+    f = factorize(n)
+    return FreeSearch(_quotient_monoid(f), _quotient_size(f)[1], SearchBudget())
 
 
 def longest(args: tuple, floor: int = 1, ceiling: int | None = None, budget=SearchBudget()):
@@ -201,8 +193,9 @@ def test_search_leaves_the_recursion_limit_alone():
         longest(eb_args(n))
         longest(dav_args(n))
     assert sys.getrecursionlimit() == limit
-    with pytest.raises(BudgetExceeded):
-        residue_engine((12, list(range(12)), _mask((0, 1, 4, 9)), limit))
+    found = longest((12, list(range(12)), _mask((0, 1, 4, 9)), limit))
+    assert found.value is None and found.states == 0
+    assert "recursion limit" in found.reason
     assert sys.getrecursionlimit() == limit
 
 
@@ -270,27 +263,30 @@ def test_image_tables_are_built_on_first_use():
     assert 0 < built < len(engine.candidates)
 
 
-class _Unreadable:
-    """A candidate iterable that fails the test if it is ever read."""
-
-    def __iter__(self):
-        raise AssertionError("candidates read before the size guards ran")
-
-
 @pytest.mark.parametrize("n, cap", [(2_000_000, 1_999_000), (1_000, 900)])
-def test_out_of_reach_search_is_refused_before_reading_candidates(n, cap):
+def test_longest_free_builds_no_monoid_the_guards_refuse(n, cap):
     # the first exceeds the state-space guard, the second the table guard
-    with pytest.raises(BudgetExceeded):
-        FreeSearch(n, times(n), _Unreadable(), 0b11, cap, SearchBudget())
-
-
-def test_longest_free_builds_no_monoid_the_guards_refuse():
     def unbuildable():
         raise AssertionError("monoid built before the size guards ran")
 
-    found = longest_free(2_000_000, unbuildable, 1_999_000, 1, 1_999_001, SearchBudget())
+    found = longest_free(n, unbuildable, cap, 1, cap + 1, SearchBudget())
     assert found.value is None and found.states == 0
-    assert found.bounds == (1, 1_999_001)
+    assert found.bounds == (1, cap + 1)
+
+
+def test_longest_free_runs_the_size_guards_once_per_search(monkeypatch):
+    calls = []
+    real = search._check_size
+
+    def counted(size, cap):
+        calls.append((size, cap))
+        real(size, cap)
+
+    monkeypatch.setattr(search, "_check_size", counted)
+    for args in (eb_args(12), dav_args(9)):
+        calls.clear()
+        assert longest(args).value is not None
+        assert calls == [(args[0], args[3])]
 
 
 def test_probes_gallop_from_the_seed_with_no_cap_probe(probes):
