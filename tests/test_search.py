@@ -17,6 +17,7 @@ import pytest
 
 from ebmod.arith import factorize
 from ebmod.ebconstant import _quotient_monoid, _quotient_size
+from ebmod.errors import BudgetExceeded
 from ebmod import search
 from ebmod.search import FreeSearch, SearchBudget, longest_free
 
@@ -263,15 +264,25 @@ def test_image_tables_are_built_on_first_use():
     assert 0 < built < len(engine.candidates)
 
 
-@pytest.mark.parametrize("n, cap", [(2_000_000, 1_999_000), (1_000, 900)])
-def test_longest_free_builds_no_monoid_the_guards_refuse(n, cap):
-    # the first exceeds the state-space guard, the second the table guard
+# the first exceeds the state-space guard, the second the table guard
+OUT_OF_REACH = {(2_000_000, 1_999_000): "state space", (1_000, 900): "image tables"}
+
+
+@pytest.mark.parametrize("n, cap", list(OUT_OF_REACH))
+def test_out_of_reach_search_is_refused_before_reading_candidates(n, cap):
+    # the guards read size and cap only, so no candidate is read
+    with pytest.raises(BudgetExceeded, match=OUT_OF_REACH[n, cap]):
+        search._check_size(n, cap)
+
+
+def test_longest_free_builds_no_monoid_the_guards_refuse():
     def unbuildable():
         raise AssertionError("monoid built before the size guards ran")
 
-    found = longest_free(n, unbuildable, cap, 1, cap + 1, SearchBudget())
-    assert found.value is None and found.states == 0
-    assert found.bounds == (1, cap + 1)
+    for n, cap in OUT_OF_REACH:
+        found = longest_free(n, unbuildable, cap, 1, cap + 1, SearchBudget())
+        assert found.value is None and found.states == 0
+        assert found.bounds == (1, cap + 1)
 
 
 def test_longest_free_runs_the_size_guards_once_per_search(monkeypatch):
