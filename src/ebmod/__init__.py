@@ -15,7 +15,6 @@ certified brackets instead of guesses.
 """
 from .arith import (
     Factorization,
-    IdempotentSet,
     crt_combine,
     factorize,
     idempotents,
@@ -42,7 +41,7 @@ from .sequences import (
     pi,
     product_set,
 )
-from .unitgroup import GroupShape, totient, unit_group_shape, units
+from .unitgroup import totient, unit_group_shape, units
 
 __version__ = "0.1.0"
 
@@ -51,8 +50,6 @@ __all__ = [
     "DomainError",
     "EBResult",
     "Factorization",
-    "GroupShape",
-    "IdempotentSet",
     "InconsistencyError",
     "ResidueSequence",
     "SearchBudget",

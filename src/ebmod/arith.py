@@ -14,7 +14,6 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, InconsistencyError
@@ -144,31 +143,8 @@ def is_idempotent(a: int, n: int) -> bool:
     return a * a % n == a
 
 
-@dataclass(frozen=True)
-class IdempotentSet:
-    """All idempotents mod n: sorted members, and the width-n bit mask
-    the closure checks of sequences and certify read, built on first use
-    (at n near MAX_N it would take over 100 GB)."""
-
-    n: int
-    members: tuple[int, ...]
-
-    @cached_property
-    def mask(self) -> int:
-        return sum(1 << e for e in self.members)
-
-    def __contains__(self, a: int) -> bool:
-        return a in self.members
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def idempotents(n: int) -> IdempotentSet:
-    """The 2^omega(n) idempotents of Z_n via CRT over {0,1}^r choices."""
+def idempotents(n: int) -> tuple[int, ...]:
+    """The 2^omega(n) idempotents of Z_n, sorted; CRT over {0,1}^r choices."""
     fact = factorize(n)
     moduli = [p**k for p, k in fact.factors]
     members = set()
@@ -178,7 +154,7 @@ def idempotents(n: int) -> IdempotentSet:
     ordered = tuple(sorted(members))
     if len(ordered) != 1 << fact.omega:
         raise InconsistencyError(f"idempotent count for {n} is off")  # unreachable
-    return IdempotentSet(n=n, members=ordered)
+    return ordered
 
 
 def crt_combine(pairs) -> int:
@@ -202,16 +178,15 @@ def crt_combine(pairs) -> int:
     return x % mod
 
 
-def lift_to_unit(a: int, f: Factorization | int) -> int:
-    """Coprime companion of a for squarefree n: the residue a' with
+def lift_to_unit(a: int, f: Factorization) -> int:
+    """Coprime companion of a for squarefree n = f.n: the residue a' with
     a' = 1 (mod p) when p | a, a' = a (mod p) otherwise."""
-    fact = f if isinstance(f, Factorization) else factorize(f)
-    if not fact.is_squarefree:
-        raise DomainError(f"lift_to_unit needs squarefree n, got {fact.n}")
-    n = fact.n
+    if not f.is_squarefree:
+        raise DomainError(f"lift_to_unit needs squarefree n, got {f.n}")
+    n = f.n
     a %= n
     pairs = []
-    for p, _ in fact.factors:
+    for p, _ in f.factors:
         pairs.append((1 if a % p == 0 else a % p, p))
     out = crt_combine(pairs)
     if gcd(out, n) != 1:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import idempotents, is_idempotent
+from .arith import is_idempotent
 from .errors import InconsistencyError
 from .sequences import (
-    ResidueSequence, _closure_step, is_idempotent_product_free, pi, product_set
+    ResidueSequence, _closure_step, _idempotent_mask, is_idempotent_product_free,
+    pi, product_set,
 )
 
 
@@ -54,12 +55,12 @@ def no_free_extension(T: ResidueSequence) -> int:
     the search tables, so it checks the search independently.  Returns
     the number of extensions checked, n - 2^omega."""
     n = T.n
-    E = idempotents(n)
+    E = _idempotent_mask(n)
     S = product_set(T)
     for a in range(n):
-        if a not in E and not _closure_step(S, a, n) & E.mask:
+        if not E >> a & 1 and not _closure_step(S, a, n) & E:
             raise InconsistencyError(f"witness for n={n} extends by {a} and stays free")
-    return n - len(E)
+    return n - E.bit_count()
 
 
 def idempotent_product(W: ResidueSequence) -> None:

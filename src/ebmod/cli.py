@@ -139,7 +139,7 @@ def cmd_davenport(args) -> int:
     base = {
         "n": args.n,
         "phi": totient(f),
-        "group": list(shape.invariant_factors),
+        "group": list(shape),
         "formula_bound": davenport_formula_bound(shape),
     }
     try:

@@ -25,15 +25,14 @@ theorem's class, else phi(n) (strict growth inside the unit group).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import certify
 from .arith import factorize
 from .errors import UndecidedError
 from .search import Monoid, SearchBudget, longest_free
 from .sequences import ResidueSequence
-from .unitgroup import (
-    GroupShape, invariant_generators, totient, unit_group_shape, units
-)
+from .unitgroup import invariant_generators, totient, unit_group_shape, units
 
 # Decided values are budget-independent, so one cache serves all callers.
 # A construction witness is cached under (n, budget) only, so a larger
@@ -58,20 +57,19 @@ class DavenportResult:
     method: str
 
 
-def davenport_formula_bound(shape: GroupShape) -> int:
-    """1 + sum(d_i - 1): the sequence taking each invariant-factor
-    generator d_i - 1 times is product-one free, so this is always a
-    floor for D, and it is D wherever _theorem cites a theorem."""
-    return 1 + sum(d - 1 for d in shape.invariant_factors)
+def davenport_formula_bound(ds: tuple[int, ...]) -> int:
+    """1 + sum(d_i - 1) over the invariant factors ds: the sequence taking
+    each one's generator d_i - 1 times is product-one free, so this is
+    always a floor for D, and it is D wherever _theorem cites a theorem."""
+    return 1 + sum(d - 1 for d in ds)
 
 
-def _theorem(shape: GroupShape) -> str | None:
-    """Citation of the theorem proving D = davenport_formula_bound(shape),
-    or None when no theorem here covers the shape."""
-    ds = shape.invariant_factors
-    if shape.order > 1 and factorize(shape.order).omega == 1:
+def _theorem(ds: tuple[int, ...]) -> str | None:
+    """Citation of the theorem proving D = davenport_formula_bound(ds) for
+    the invariant factors ds, or None when no theorem here covers them."""
+    if ds and factorize(prod(ds)).omega == 1:
         return "Olson 1969 (p-group)"
-    if shape.rank <= 2:
+    if len(ds) <= 2:
         return "Olson 1969; van Emde Boas & Kruyswijk 1967 (rank <= 2)"
     if len(ds) == 3 and ds[:2] == (2, 2):  # 2 | d_3
         return "Delorme, Ordaz & Quiroz 2001 (C2+C2+C2m)"

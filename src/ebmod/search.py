@@ -27,8 +27,8 @@ Key facts the engine leans on:
   product set (if it didn't, some power of the added term would already
   be an achieved product and idempotent/one, contradicting freeness).
   Hence a free sequence of length L has |product set| >= L, and L can
-  never exceed cap = (number of residues that may appear in a free
-  product set).  This yields the slack pruning rule
+  never exceed cap = (number of monoid elements that may appear in a
+  free product set).  This yields the slack pruning rule
   popcount(S) + r > cap  =>  no r-term extension exists.
 
 * Forbidden-preimage prefilter.  For each candidate a the engine keeps
@@ -74,7 +74,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import BudgetExceeded, InconsistencyError
+from .errors import BudgetExceeded, DomainError, InconsistencyError
 
 _LO_SHIFT = 20  # memo packing: hi_true | (lo_false << _LO_SHIFT)
 _LO_INIT = (1 << _LO_SHIFT) - 1
@@ -88,10 +88,17 @@ class SearchBudget:
     max_states caps the memo table (distinct explored states); blowing
     it raises BudgetExceeded, which callers convert into an honest
     undecided verdict.  max_seconds is wall-clock, checked coarsely.
+    Both must be >= 0; 0 and inf are legal, NaN is not.
     """
 
     max_states: int = 1 << 26
     max_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_states < 0:
+            raise DomainError(f"max_states must be >= 0, got {self.max_states}")
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise DomainError(f"max_seconds must be >= 0, got {self.max_seconds}")
 
 
 class Monoid(NamedTuple):

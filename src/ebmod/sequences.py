@@ -10,8 +10,9 @@ W of T.  It is computed by the closure step
     S  ->  S | {a} | {s*a mod n : s in S}
 
 one term at a time and represented as a width-n bit vector: the closure
-step is then a scan-and-or, which is the hot path of every search in the
-package.
+step is then a scan-and-or.  It is the independent code path that
+certify checks witnesses through; the search engine builds its own
+per-candidate image tables and never calls it.
 
 The empty product is deliberately NOT 1 here: pi() of the empty sequence
 is a domain error, so "nonempty subsequence" is enforced by types rather
@@ -71,6 +72,12 @@ def _closure_step(mask: int, a: int, n: int) -> int:
     return mask | img
 
 
+def _idempotent_mask(n: int) -> int:
+    """Width-n bit mask of the idempotents mod n, for the closure checks
+    here and in certify (at n near MAX_N it would take over 100 GB)."""
+    return sum(1 << e for e in idempotents(n))
+
+
 def pi(T: ResidueSequence) -> int:
     """Product of all terms mod n; empty sequence is a domain error."""
     if len(T) == 0:
@@ -93,7 +100,7 @@ def product_set(T: ResidueSequence) -> int:
 def is_idempotent_product_free(T: ResidueSequence) -> bool:
     """True iff product_set(T) avoids every idempotent.  Early exit on
     the first idempotent product."""
-    E = idempotents(T.n).mask
+    E = _idempotent_mask(T.n)
     mask = 0
     for a in T:
         mask = _closure_step(mask, a, T.n)

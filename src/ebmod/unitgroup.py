@@ -9,17 +9,14 @@ construction of a product-one-free sequence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .arith import Factorization, crt_combine, factorize
 from .errors import DomainError, InconsistencyError
 
 
-def totient(f: Factorization | int) -> int:
+def totient(f: Factorization) -> int:
     """Euler phi, from the factorization."""
-    if isinstance(f, int):
-        f = factorize(f)
     out = 1
     for p, k in f.factors:
         out *= p ** (k - 1) * (p - 1)
@@ -31,25 +28,6 @@ def units(n: int) -> list[int]:
     if n < 2:
         raise DomainError(f"modulus must be >= 2, got {n}")
     return [a for a in range(1, n) if gcd(a, n) == 1]
-
-
-@dataclass(frozen=True)
-class GroupShape:
-    """Invariant-factor form d_1 | d_2 | ... | d_s of a finite abelian
-    group; empty for the trivial group."""
-
-    invariant_factors: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
 
 
 def _merge_invariant_factors(orders) -> tuple[int, ...]:
@@ -70,11 +48,10 @@ def _merge_invariant_factors(orders) -> tuple[int, ...]:
     return tuple(ds)
 
 
-def unit_group_shape(f: Factorization | int) -> GroupShape:
-    """Shape of (Z/nZ)^x: odd p^k contributes a cyclic factor of order
+def unit_group_shape(f: Factorization) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... | d_s of (Z/nZ)^x, empty for the
+    trivial group: odd p^k contributes a cyclic factor of order
     p^(k-1)(p-1); 2 nothing; 4 a C2; 2^k (k >= 3) a C2 x C_{2^(k-2)}."""
-    if isinstance(f, int):
-        f = factorize(f)
     cyclic: list[int] = []
     for p, k in f.factors:
         if p == 2:
@@ -85,10 +62,10 @@ def unit_group_shape(f: Factorization | int) -> GroupShape:
                 cyclic.append(2 ** (k - 2))
         else:
             cyclic.append(p ** (k - 1) * (p - 1))
-    shape = GroupShape(invariant_factors=_merge_invariant_factors(cyclic))
-    if shape.order != totient(f):
+    shape = _merge_invariant_factors(cyclic)
+    if prod(shape) != totient(f):
         raise InconsistencyError(
-            f"shape order {shape.order} != phi({f.n}) = {totient(f)}"
+            f"shape order {prod(shape)} != phi({f.n}) = {totient(f)}"
         )  # unreachable
     return shape
 
@@ -112,7 +89,7 @@ def _component_generators(p: int, k: int) -> list[tuple[int, int]]:
     return [(g, phi)]
 
 
-def invariant_generators(f: Factorization | int) -> tuple[tuple[int, int], ...]:
+def invariant_generators(f: Factorization) -> tuple[tuple[int, int], ...]:
     """Units (g_1, d_1), ..., (g_s, d_s) with d_1 | ... | d_s the invariant
     factors of (Z/nZ)^x and the group the direct product of the cyclic
     groups <g_i> of order d_i.
@@ -125,8 +102,6 @@ def invariant_generators(f: Factorization | int) -> tuple[tuple[int, int], ...]:
     every prime r, of the j-th largest r-part, and its order the product
     of theirs.
     """
-    if isinstance(f, int):
-        f = factorize(f)
     n = f.n
     parts: dict[int, list[tuple[int, int]]] = {}  # prime r -> [(r^e, unit)]
     for p, k in f.factors:
@@ -140,7 +115,7 @@ def invariant_generators(f: Factorization | int) -> tuple[tuple[int, int], ...]:
         for gen, (order, y) in zip(gens, sorted(ranked, reverse=True)):
             gen[0], gen[1] = gen[0] * y % n, gen[1] * order
     out = tuple((g, d) for g, d in reversed(gens))
-    if tuple(d for _, d in out) != unit_group_shape(f).invariant_factors:
+    if tuple(d for _, d in out) != unit_group_shape(f):
         raise InconsistencyError(
             f"generator orders {out} disagree with the shape of (Z/{n}Z)^x"
         )  # unreachable

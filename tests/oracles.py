@@ -155,12 +155,14 @@ def _searched_davenport(n: int):
     """D((Z/nZ)^x) by the full search over the residues: the gallop from
     the classical formula up to phi(n), where davenport_exact stops at a
     theorem's value, and searches the units alone."""
+    from ebmod.arith import factorize
     from ebmod.davenport import davenport_formula_bound
     from ebmod.search import SearchBudget, longest_free
     from ebmod.unitgroup import totient, unit_group_shape, units
 
-    phi = totient(n)
-    formula = davenport_formula_bound(unit_group_shape(n))
+    f = factorize(n)
+    phi = totient(f)
+    formula = davenport_formula_bound(unit_group_shape(f))
     return longest_free(
         n,
         lambda: residue_monoid(n, 1 << 1, units(n)),
@@ -176,13 +178,14 @@ def _searched_eb(n: int, floor: int):
     to the strict-growth ceiling n - 2^omega + 1, where eb_exact searches
     the quotient monoid M(n) and stops at the theorem's value in the
     proved classes."""
-    from ebmod.arith import factorize, idempotents
+    from ebmod.arith import factorize
     from ebmod.search import SearchBudget, longest_free
+    from ebmod.sequences import _idempotent_mask
 
     cap = n - (1 << factorize(n).omega)
     return longest_free(
         n,
-        lambda: residue_monoid(n, idempotents(n).mask, range(n)),
+        lambda: residue_monoid(n, _idempotent_mask(n), range(n)),
         cap,
         floor,
         cap + 1,

@@ -159,6 +159,16 @@ def test_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    (["--max-seconds", "nan"], ["--max-seconds", "-1"], ["--max-states", "-1"]),
+)
+def test_a_budget_that_bounds_nothing_exits_2(capsys, flags):
+    code, out, err = run_cli(capsys, "eb", "12", *flags)
+    assert (code, out) == (2, "")
+    assert "error" in err and flags[0][2:].replace("-", "_") in err
+
+
 def test_undecided_exit_codes(capsys):
     import ebmod.davenport as dav_mod
 

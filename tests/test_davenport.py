@@ -13,7 +13,7 @@ from ebmod.davenport import (
 from ebmod.errors import UndecidedError
 from ebmod.search import FreeSearch, SearchBudget
 from ebmod.sequences import product_set
-from ebmod.unitgroup import GroupShape, totient, unit_group_shape
+from ebmod.unitgroup import totient, unit_group_shape
 
 from oracles import _searched_davenport, brute_davenport, brute_is_product_one_free
 
@@ -40,10 +40,10 @@ def test_cyclic_prime_values():
 
 
 def test_formula_bound_examples():
-    assert davenport_formula_bound(GroupShape((2, 2))) == 3
-    assert davenport_formula_bound(GroupShape(())) == 1
-    assert davenport_formula_bound(GroupShape((4,))) == 4
-    assert davenport_formula_bound(GroupShape((2, 12))) == 13
+    assert davenport_formula_bound((2, 2)) == 3
+    assert davenport_formula_bound(()) == 1
+    assert davenport_formula_bound((4,)) == 4
+    assert davenport_formula_bound((2, 12)) == 13
 
 
 def test_value_at_least_formula_and_at_most_phi():
@@ -98,10 +98,11 @@ def test_method_field_of_a_searched_value(monkeypatch):
 
 @pytest.mark.parametrize("n", (56, 72, 84, 88))
 def test_c2_c2_c2m_rule_matches_the_search(n):
-    assert unit_group_shape(n).invariant_factors[:2] == (2, 2)
+    shape = unit_group_shape(factorize(n))
+    assert shape[:2] == (2, 2)
     found = _searched_davenport(n)
     r = davenport_exact(n)
-    assert found.value == r.value == davenport_formula_bound(unit_group_shape(n))
+    assert found.value == r.value == davenport_formula_bound(shape)
     assert found.witness == r.witness.as_tuple()
 
 
@@ -119,7 +120,7 @@ def test_undecided_at_tiny_budget():
     lo, hi = info.value.bounds
     shape = unit_group_shape(factorize(168))
     assert lo >= davenport_formula_bound(shape)
-    assert hi == totient(168)
+    assert hi == totient(factorize(168))
     assert lo <= hi
 
 
@@ -131,10 +132,11 @@ def test_undecided_at_tiny_time_budget():
 
 def test_only_168_and_195_below_200_lack_a_theorem():
     uncovered = [
-        n for n in range(2, 201) if dav_mod._theorem(unit_group_shape(n)) is None
+        n for n in range(2, 201)
+        if dav_mod._theorem(unit_group_shape(factorize(n))) is None
     ]
     assert uncovered == [168, 195]
-    assert [unit_group_shape(n).invariant_factors for n in uncovered] == [
+    assert [unit_group_shape(factorize(n)) for n in uncovered] == [
         (2, 2, 2, 6), (2, 4, 12)
     ]
 
@@ -163,7 +165,7 @@ def test_theorem_rows_run_no_refutation(monkeypatch):
 def test_spent_walk_keeps_the_theorem_value_with_the_construction(monkeypatch, n):
     monkeypatch.setattr(dav_mod, "_cache", {})
     r = davenport_exact(n, SearchBudget(max_states=1))
-    assert r.value == davenport_formula_bound(unit_group_shape(n))
+    assert r.value == davenport_formula_bound(unit_group_shape(factorize(n)))
     certify.product_one_free(r.witness, r.value)
     assert r.method.endswith(" + construction")
 

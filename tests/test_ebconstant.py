@@ -6,10 +6,12 @@ from collections import Counter
 
 import pytest
 
+import ebmod.certify as certify_mod
 import ebmod.davenport as dav_mod
 import ebmod.ebconstant as ebc_mod
+import ebmod.sequences as seq_mod
 import ebmod.unitgroup as ug_mod
-from ebmod.arith import IdempotentSet, factorize, idempotents, is_idempotent
+from ebmod.arith import factorize, is_idempotent
 from ebmod.davenport import davenport_exact
 from ebmod.ebconstant import (
     SCAN_CONJECTURE_VERIFIED,
@@ -30,6 +32,7 @@ from ebmod.errors import DomainError, InconsistencyError, UndecidedError
 from ebmod.search import FreeSearch, SearchBudget
 from ebmod.sequences import (
     ResidueSequence,
+    _idempotent_mask,
     is_idempotent_product_free,
     pi,
     product_set,
@@ -124,7 +127,8 @@ def test_out_of_reach_rows_are_undecided_before_any_linear_work(monkeypatch):
     for mod in (ug_mod, dav_mod):
         monkeypatch.setattr(mod, "units", boom)
     monkeypatch.setattr(ebc_mod, "_quotient_monoid", boom)
-    monkeypatch.setattr(IdempotentSet, "mask", property(boom))
+    for mod in (seq_mod, certify_mod):
+        monkeypatch.setattr(mod, "_idempotent_mask", boom)
     monkeypatch.setattr(dav_mod, "_cache", {})
     with pytest.raises(UndecidedError) as info:
         davenport_exact(10000019)  # a prime: Olson's theorem closes the bracket
@@ -449,5 +453,5 @@ def test_strict_growth_along_witnesses():
         ]
         sizes = [s.bit_count() for s in sets]
         assert sizes == sorted(set(sizes))
-        E = idempotents(n)
-        assert all(s & E.mask == 0 for s in sets)
+        E = _idempotent_mask(n)
+        assert all(s & E == 0 for s in sets)

@@ -17,7 +17,7 @@ import pytest
 
 from ebmod.arith import factorize
 from ebmod.ebconstant import _quotient_monoid, _quotient_size
-from ebmod.errors import BudgetExceeded
+from ebmod.errors import BudgetExceeded, DomainError
 from ebmod import search
 from ebmod.search import FreeSearch, SearchBudget, longest_free
 
@@ -338,3 +338,16 @@ def test_a_spent_budget_brackets_up_to_the_ceiling(n):
         assert found.value is None and found.states > 0
         lo, hi = found.bounds
         assert 1 < lo <= value <= hi == ceiling
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    ({"max_states": -1}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}),
+)
+def test_a_budget_that_bounds_nothing_is_refused(kwargs):
+    # a NaN deadline never passes (monotonic() > nan is False), so the
+    # search would run until killed; a negative cap bounds nothing either
+    with pytest.raises(DomainError):
+        SearchBudget(**kwargs)
+    SearchBudget(max_states=0, max_seconds=0)  # the edges stay legal
+    SearchBudget(max_seconds=float("inf"))
