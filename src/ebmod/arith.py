@@ -14,6 +14,7 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, InconsistencyError
@@ -73,7 +74,7 @@ class Factorization:
     def is_prime_power(self) -> bool:
         return len(self.factors) == 1
 
-    @property
+    @cached_property  # read once per term by lift_to_unit
     def is_squarefree(self) -> bool:
         return all(k == 1 for _, k in self.factors)
 
@@ -180,15 +181,17 @@ def crt_combine(pairs) -> int:
 
 def lift_to_unit(a: int, f: Factorization) -> int:
     """Coprime companion of a for squarefree n = f.n: the residue a' with
-    a' = 1 (mod p) when p | a, a' = a (mod p) otherwise."""
+    a' = 1 (mod p) when p | a, a' = a (mod p) otherwise.
+
+    In closed form: with g = gcd(a, n) and m = n // g (coprime, as n is
+    squarefree), a + m * (m^-1 mod g) is a mod every p | m and 1 mod
+    every p | g."""
     if not f.is_squarefree:
         raise DomainError(f"lift_to_unit needs squarefree n, got {f.n}")
     n = f.n
-    a %= n
-    pairs = []
-    for p, _ in f.factors:
-        pairs.append((1 if a % p == 0 else a % p, p))
-    out = crt_combine(pairs)
+    g = gcd(a, n)
+    m = n // g
+    out = (a + m * pow(m, -1, g)) % n
     if gcd(out, n) != 1:
         raise InconsistencyError(f"lift of {a} mod {n} is not a unit")  # unreachable
     return out

@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from math import isfinite
 
 from . import certify
 from .arith import factorize, idempotents
@@ -100,9 +101,11 @@ def _finish(args, results: dict, witness=None, check=None, undecided=False) -> i
         "timing_seconds": round(time.perf_counter() - args.t0, 6),
     }
     if hasattr(args, "max_states"):
+        seconds = args.max_seconds
         record["budget"] = {
             "max_states": args.max_states,
-            "max_seconds": args.max_seconds,
+            # JSON has no Infinity: an infinite cap, like none, is null
+            "max_seconds": seconds if isfinite(seconds or 0) else None,
         }
     if args.format == "json":
         print(json.dumps(record, indent=2))

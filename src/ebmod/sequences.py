@@ -12,7 +12,10 @@ W of T.  It is computed by the closure step
 one term at a time and represented as a width-n bit vector: the closure
 step is then a scan-and-or.  It is the independent code path that
 certify checks witnesses through; the search engine builds its own
-per-candidate image tables and never calls it.
+per-candidate image tables and never calls it.  The product-one DP
+behind find_product_one_subsequence and the extractors works on units
+alone, so its masks are phi(n) bits wide, indexed by the exponent
+vectors of unitgroup.log_index.
 
 The empty product is deliberately NOT 1 here: pi() of the empty sequence
 is a domain error, so "nonempty subsequence" is enforced by types rather
@@ -24,6 +27,7 @@ from math import gcd
 
 from .arith import idempotents
 from .errors import DomainError
+from .unitgroup import log_index
 
 
 class ResidueSequence:
@@ -109,6 +113,39 @@ def is_idempotent_product_free(T: ResidueSequence) -> bool:
     return True
 
 
+def _translations(values, index: dict[int, int], orders: tuple[int, ...]):
+    """Multiplication by each unit of values on product-set masks in the
+    coordinates index and orders of unitgroup.log_index, as a pair
+    (shifts, up).
+
+    Along an invariant factor of order d and stride st, multiplying by a
+    unit whose exponent there is s moves an element with exponent
+    e < d - s up by s*st and wraps the rest down by (d - s)*st.  shifts
+    holds one (low, s*st, (d - s)*st) triple per inner factor with s != 0,
+    low masking the elements that move up.  The last factor (the only one
+    of a cyclic group) is the most significant coordinate, so along it
+    the move is a rotation of the whole phi(n)-bit mask by up.
+    """
+    full = (1 << len(index)) - 1
+    inner = []  # (order, stride, repunit with period order * stride)
+    st = 1
+    for d in orders[:-1]:
+        inner.append((d, st, full // ((1 << d * st) - 1)))
+        st *= d
+    out = {}
+    for v in values:
+        if v in out:
+            continue
+        x, shifts = index[v], []
+        for d, st_i, rep in inner:
+            s = x // st_i % d
+            if s:
+                down = (d - s) * st_i
+                shifts.append((((1 << down) - 1) * rep, s * st_i, down))
+        out[v] = shifts, x - x % st
+    return [out[v] for v in values]
+
+
 def _min_product_one_pick(pairs, n: int):
     """Smallest product-one selection from (sort_key, unit) pairs.
 
@@ -116,28 +153,37 @@ def _min_product_one_pick(pairs, n: int):
     minimizing length first, then lexicographic order of the sort keys,
     or None when no nonempty selection has unit product 1.
 
-    Level j of the table holds, per suffix start, the bitmask of
-    products achievable by choosing exactly j of the remaining units.
+    Level j of the table holds, per suffix start, the set of products
+    achievable by choosing exactly j of the remaining units, as a
+    phi(n)-bit mask over the exponent vectors of unitgroup.log_index
+    (the identity is bit 0).  Multiplying a set by a unit translates it,
+    one shift pair per invariant factor, so the table costs
+    O(levels * L * rank) shifts of phi(n)-bit masks.
     """
     L = len(pairs)
     values = [v for _, v in pairs]
-    one = 1 << 1  # bit of residue 1 (n >= 2 throughout)
-    levels = [[one] * (L + 1)]  # j = 0: only the empty product
+    index, orders = log_index(n)
+    phi = len(index)
+    full = (1 << phi) - 1
+    moves = _translations(values, index, orders)
+    levels = [[1] * (L + 1)]  # j = 0: only the empty product
     target_level = None
     for j in range(1, L + 1):
         prev = levels[j - 1]
         cur = [0] * (L + 1)
+        acc = 0
         for start in range(L - 1, -1, -1):
-            grown = 0
             m = prev[start + 1]
-            v = values[start]
-            while m:
-                low = m & -m
-                grown |= 1 << ((low.bit_length() - 1) * v % n)
-                m ^= low
-            cur[start] = cur[start + 1] | grown
+            shifts, up = moves[start]
+            for low, a, b in shifts:
+                kept = m & low
+                m = kept << a | (m ^ kept) >> b
+            if up:
+                m = (m << up | m >> phi - up) & full
+            acc |= m
+            cur[start] = acc
         levels.append(cur)
-        if cur[0] & one:
+        if acc & 1:
             target_level = j
             break
     if target_level is None:
@@ -147,9 +193,8 @@ def _min_product_one_pick(pairs, n: int):
     chosen = []
     start, j, need = 0, target_level, 1
     while j > 0:
-        v = values[start]
-        rest = need * pow(v, -1, n) % n
-        if (levels[j - 1][start + 1] >> rest) & 1:
+        rest = need * pow(values[start], -1, n) % n
+        if levels[j - 1][start + 1] >> index[rest] & 1:
             chosen.append(pairs[start])
             need = rest
             j -= 1

@@ -1,11 +1,13 @@
 """Structure of the unit group (Z/nZ)^x.
 
-Units are always handled as concrete residues multiplied mod n; the
-abstract shape (invariant factors) is computed only to feed formulas and
-cross-checks, never as a search substrate — that keeps every witness
-directly verifiable without discrete logarithms.  invariant_generators
-names one concrete unit per invariant factor, for the classical
-construction of a product-one-free sequence.
+The shape (invariant factors) feeds the Davenport formulas and
+cross-checks.  invariant_generators names one concrete unit per
+invariant factor, for the classical construction of a product-one-free
+sequence, and log_index writes every unit as an exponent vector over
+those generators: the product-one DP of sequences indexes units by
+those vectors, where multiplying by a unit is a translation.  Witnesses
+stay residues, multiplied mod n, so checking one needs no discrete
+logarithm.
 """
 from __future__ import annotations
 
@@ -13,6 +15,9 @@ from math import gcd, prod
 
 from .arith import Factorization, crt_combine, factorize
 from .errors import DomainError, InconsistencyError
+
+# n -> log_index(n), filled on first use
+_log_cache: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
 
 
 def totient(f: Factorization) -> int:
@@ -120,3 +125,29 @@ def invariant_generators(f: Factorization) -> tuple[tuple[int, int], ...]:
             f"generator orders {out} disagree with the shape of (Z/{n}Z)^x"
         )  # unreachable
     return out
+
+
+def log_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Discrete-log coordinates of (Z/nZ)^x.  With (g_1, d_1), ...,
+    (g_s, d_s) its invariant generators, the unit prod g_i^e_i
+    (0 <= e_i < d_i) gets the flat index sum e_i * stride_i, where
+    stride_i = d_1 * ... * d_(i-1); the identity is index 0.  Returns the
+    unit -> index map and (d_1, ..., d_s).
+    Built once per n, at O(phi(n)) multiplications."""
+    got = _log_cache.get(n)
+    if got is None:
+        f = factorize(n)
+        gens = invariant_generators(f)
+        flat = [1]
+        for g, d in gens:
+            powers = [1]
+            for _ in range(d - 1):
+                powers.append(powers[-1] * g % n)
+            flat = [x * y % n for y in powers for x in flat]
+        index = {u: i for i, u in enumerate(flat)}
+        if len(index) != totient(f):
+            raise InconsistencyError(
+                f"exponent vectors of (Z/{n}Z)^x are not one per unit"
+            )  # unreachable
+        got = _log_cache[n] = (index, tuple(d for _, d in gens))
+    return got

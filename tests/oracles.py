@@ -10,6 +10,12 @@ identity labelling of residue_monoid), galloping up to the strict-growth
 ceiling with no theorem's ceiling, so that tests check a theorem's value,
 and the quotient monoid eb_exact searches, against an independent
 search instead of against themselves.
+
+One reference is a DP, not a brute force: bitscan_product_one_pick is
+the product-one DP over width-n residue masks, multiplying a set by a
+unit one set bit at a time.  The package runs the same DP in
+exponent-vector coordinates, and tests compare the two selections at
+sizes the brute force cannot reach.
 """
 from __future__ import annotations
 
@@ -114,6 +120,48 @@ def brute_product_one_subsequence(terms, n: int):
         if hits:
             return min(hits)
     return None
+
+
+def bitscan_product_one_pick(pairs, n: int):
+    """The product-one DP over residues: smallest selection from sorted
+    (sort_key, unit) pairs, shortest first, then lexicographically
+    smallest by sort key, or None.  Level j holds, per suffix start, the
+    width-n mask of products of exactly j of the remaining units; a set
+    is multiplied by a unit one set bit at a time."""
+    L = len(pairs)
+    values = [v for _, v in pairs]
+    one = 1 << 1
+    levels = [[one] * (L + 1)]
+    target_level = None
+    for j in range(1, L + 1):
+        prev = levels[j - 1]
+        cur = [0] * (L + 1)
+        for start in range(L - 1, -1, -1):
+            grown = 0
+            m = prev[start + 1]
+            v = values[start]
+            while m:
+                low = m & -m
+                grown |= 1 << ((low.bit_length() - 1) * v % n)
+                m ^= low
+            cur[start] = cur[start + 1] | grown
+        levels.append(cur)
+        if cur[0] & one:
+            target_level = j
+            break
+    if target_level is None:
+        return None
+    chosen = []
+    start, j, need = 0, target_level, 1
+    while j > 0:
+        v = values[start]
+        rest = need * pow(v, -1, n) % n
+        if (levels[j - 1][start + 1] >> rest) & 1:
+            chosen.append(pairs[start])
+            need = rest
+            j -= 1
+        start += 1
+    return chosen
 
 
 def brute_unit_orders(n: int) -> dict[int, int]:

@@ -150,6 +150,17 @@ def test_lift_to_unit_agrees_at_coprime_primes():
                     assert u % p == 1
 
 
+def test_lift_to_unit_matches_the_crt_lift_at_every_residue():
+    # the lift built prime by prime, as its definition reads
+    for n in range(2, 301):
+        f = factorize(n)
+        if not f.is_squarefree:
+            continue
+        for a in range(n):
+            want = crt_combine([(1 if a % p == 0 else a, p) for p, _ in f.factors])
+            assert lift_to_unit(a, f) == want, (n, a)
+
+
 def test_factorization_is_frozen():
     f = factorize(12)
     assert isinstance(f, Factorization)

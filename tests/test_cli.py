@@ -388,3 +388,39 @@ def test_check_rejects_a_witness_with_one_term_changed(
     code, _, err = run_cli(capsys, *argv, "--check")
     assert code == 4
     assert "internal inconsistency" in err and message in err
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and +-Infinity, which RFC 8259 lacks."""
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["idempotents", "12"],
+        ["davenport", "12", "--witness", "--max-seconds", "inf"],
+        ["eb", "12", "--witness", "--max-seconds", "inf"],
+        ["construct", "12", "--max-seconds", "inf"],
+        ["extract", "30", "--seq", "0,5,6,10,15", "--max-seconds", "inf"],
+        ["verify", "12", "--max-seconds", "inf"],
+        ["scan", "--from", "2", "--to", "6", "--max-seconds", "inf"],
+        ["scan", "--from", "2", "--to", "6", "--max-seconds", "inf", "--stream"],
+    ),
+    ids=("idempotents", "davenport", "eb", "construct", "extract", "verify",
+         "scan", "scan-stream"),
+)
+def test_every_json_output_parses_strictly(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    if "--stream" in argv:
+        records = [_strict_json(line) for line in out.strip().splitlines()]
+    else:
+        records = _strict_json(out)
+    if isinstance(records, dict) and "budget" in records:
+        assert records["budget"]["max_seconds"] is None  # as with no cap
+    assert records

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from ebmod.arith import factorize, lift_to_unit
 from ebmod.errors import DomainError
 from ebmod.sequences import (
     ResidueSequence,
+    _min_product_one_pick,
     find_product_one_subsequence,
     format_sequence,
     is_idempotent_product_free,
@@ -15,7 +17,12 @@ from ebmod.sequences import (
     product_set,
 )
 
-from oracles import brute_is_free, brute_product_set, brute_product_one_subsequence
+from oracles import (
+    bitscan_product_one_pick,
+    brute_is_free,
+    brute_product_one_subsequence,
+    brute_product_set,
+)
 
 
 def test_residue_sequence_normalizes_and_sorts():
@@ -111,6 +118,41 @@ def test_find_product_one_against_brute_random():
             assert got is None
         else:
             assert got is not None and got.as_tuple() == expected
+
+
+@pytest.mark.parametrize(
+    "n",
+    # cyclic unit groups, then ranks 2 to 4, then the trivial group
+    (169, 361, 529, 8, 16, 24, 63, 105, 120, 240, 2),
+)
+def test_product_one_dp_picks_what_the_bit_scan_dp_picks(n):
+    from math import gcd
+
+    rng = random.Random(n)
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    lengths = [1, 2, 3, 5, 8, 13, 21, 40] + ([len(units)] if n > 100 else [])
+    for L in lengths:
+        for _ in range(4):
+            pairs = [(v, v) for v in sorted(rng.choice(units) for _ in range(L))]
+            assert _min_product_one_pick(pairs, n) == bitscan_product_one_pick(pairs, n)
+
+
+@pytest.mark.parametrize("n", (30, 42, 66, 70, 78, 105, 210))
+def test_product_one_dp_keeps_the_sort_key_tie_break(n):
+    # the squarefree extractor's pairs: 0 and every multiple of a prime
+    # dividing n lift to few units, so many keys share one unit
+    from math import gcd
+
+    f = factorize(n)
+    rng = random.Random(n)
+    shared = [a for a in range(n) if gcd(a, n) > 1]  # 0 and multiples of p
+    for _ in range(30):
+        terms = [
+            rng.choice(shared) if rng.random() < 0.5 else rng.randrange(n)
+            for _ in range(rng.randint(1, 14))
+        ]
+        pairs = sorted((a, lift_to_unit(a, f)) for a in terms)
+        assert _min_product_one_pick(pairs, n) == bitscan_product_one_pick(pairs, n)
 
 
 def test_running_product_sets_strictly_grow_along_free_sequences():

@@ -5,6 +5,7 @@ from math import prod
 from ebmod.arith import factorize
 from ebmod.unitgroup import (
     invariant_generators,
+    log_index,
     totient,
     unit_group_shape,
     units,
@@ -84,3 +85,37 @@ def test_invariant_generators_examples():
     assert invariant_generators(factorize(5)) == ((2, 4),)
     assert invariant_generators(factorize(8)) == ((5, 2), (7, 2))
     assert invariant_generators(factorize(16)) == ((15, 2), (5, 4))  # -1 and 5
+
+
+def _exponents(i: int, orders) -> list[int]:
+    out = []
+    for d in orders:
+        out.append(i % d)
+        i //= d
+    return out
+
+
+def test_log_index_is_a_group_isomorphism_onto_exponent_vectors():
+    # flat index sum e_i * stride_i of prod g_i^e_i, one per unit, and a
+    # product of units adds exponent vectors mod the orders
+    for n in (2, 4, 8, 15, 16, 24, 63, 105, 120, 169, 240):
+        f = factorize(n)
+        index, orders = log_index(n)
+        gens = invariant_generators(f)
+        assert orders == tuple(d for _, d in gens)
+        assert sorted(index) == units(n)
+        assert sorted(index.values()) == list(range(totient(f)))
+        assert index[1] == 0
+        for u, i in index.items():
+            powers = (pow(g, e, n) for (g, _), e in zip(gens, _exponents(i, orders)))
+            assert prod(powers) % n == u
+        some = units(n)[:12]
+        for a in some:
+            for b in some:
+                ea, eb = _exponents(index[a], orders), _exponents(index[b], orders)
+                want = [(x + y) % d for x, y, d in zip(ea, eb, orders)]
+                assert _exponents(index[a * b % n], orders) == want
+
+
+def test_log_index_is_built_once_per_n():
+    assert log_index(91) is log_index(91)
