@@ -35,6 +35,7 @@ from .ebconstant import (
     SCAN_UNDECIDED,
     STATUS_EXACT,
     STATUS_UNDECIDED,
+    _equality_class,
     conjecture_scan,
     construct_extremal,
     eb_exact,
@@ -203,19 +204,17 @@ def cmd_construct(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    f = factorize(args.n)
+    mode = _equality_class(factorize(args.n))
     T = parse_sequence_literal(args.seq, args.n, reduce=args.reduce)
-    if f.is_prime_power:
-        W = extract_witness_prime_power(T, args.n, _budget(args))
-        mode = "prime-power"
-    elif f.is_squarefree:
-        W = extract_witness_squarefree(T, args.n, _budget(args))
-        mode = "squarefree"
-    else:
+    if mode == "none":
         raise DomainError(
             f"{args.n} is neither a prime power nor squarefree; "
             "no constructive extractor applies"
         )
+    if mode == "prime-power":
+        W = extract_witness_prime_power(T, args.n, _budget(args))
+    else:
+        W = extract_witness_squarefree(T, args.n, _budget(args))
     results = {
         "n": args.n,
         "mode": mode,
@@ -382,35 +381,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("idempotents", help="idempotent residues mod n")
-    p.add_argument("n", type=int)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_idempotents)
+    def per_n(name: str, help_text: str, func, budget: bool = True):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("n", type=int)
+        _add_common_flags(p)
+        if budget:
+            _add_budget_flags(p)
+        p.set_defaults(func=func)
+        return p
 
+    per_n("idempotents", "idempotent residues mod n", cmd_idempotents, budget=False)
     for name, help_text, func in (
         ("davenport", "Davenport constant of (Z/nZ)^x", cmd_davenport),
         ("eb", "idempotent-product constant I(n)", cmd_eb),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("n", type=int)
+        p = per_n(name, help_text, func)
         p.add_argument("--witness", action="store_true", help="print the free sequence")
-        _add_common_flags(p)
-        _add_budget_flags(p)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser(
-        "construct", help="extremal free sequence certifying the lower bound"
-    )
-    p.add_argument("n", type=int)
-    _add_common_flags(p)
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser(
+    per_n("construct", "extremal free sequence certifying the lower bound", cmd_construct)
+    p = per_n(
         "extract",
-        help="constructive idempotent-product witness in a given sequence",
+        "constructive idempotent-product witness in a given sequence",
+        cmd_extract,
     )
-    p.add_argument("n", type=int)
     p.add_argument(
         "--seq",
         required=True,
@@ -421,15 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reduce out-of-range terms mod n instead of rejecting them",
     )
-    _add_common_flags(p)
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("verify", help="all provable consistency checks for n")
-    p.add_argument("n", type=int)
-    _add_common_flags(p)
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_verify)
+    per_n("verify", "all provable consistency checks for n", cmd_verify)
 
     p = sub.add_parser("scan", help="equality table over a range of moduli")
     p.add_argument("--from", dest="n_lo", type=int, required=True)
@@ -456,8 +440,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UndecidedError as exc:
+        # only davenport_exact raises it, through construct and extract
         print(f"undecided at budget: {exc}", file=sys.stderr)
-        return 3 if getattr(args, "strict", False) else 0
+        results = {
+            "n": args.n,
+            "status": STATUS_UNDECIDED,
+            "davenport_bounds": list(exc.bounds),
+        }
+        return _finish(args, results, undecided=True)
     except InconsistencyError as exc:
         print(f"internal inconsistency (bug): {exc}", file=sys.stderr)
         return 4

@@ -105,10 +105,10 @@ def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportR
     construction, hi by the theorem in its class, else by strict
     growth).
     """
-    f = factorize(n)  # validates n
     got = _cache.get(n) or _cache.get((n, budget))
     if got is not None:
         return got
+    f = factorize(n)  # validates n; only a validated n is ever cached
     shape = unit_group_shape(f)
     formula = davenport_formula_bound(shape)
     theorem = _theorem(shape)

@@ -218,10 +218,24 @@ def construct_extremal(n: int, budget: SearchBudget = SearchBudget()) -> Residue
     return T
 
 
-def _split_threshold_args(T: ResidueSequence, n: int):
+def _at_threshold(T: ResidueSequence, n: int, budget: SearchBudget, squarefree: bool):
+    """The extractors' shared prologue: (factorization of n, D), once T is
+    a sequence mod n, n is squarefree or a prime power as the extractor
+    asks, and |T| reaches the theorem's threshold I(n) = D + Omega - omega,
+    which is D + k - 1 for n = p^k and D for squarefree n."""
     if T.n != n:
         raise DomainError(f"sequence modulus {T.n} != {n}")
-    return factorize(n)
+    f = factorize(n)
+    if not (f.is_squarefree if squarefree else f.is_prime_power):
+        kind = "squarefree" if squarefree else "a prime power"
+        raise DomainError(f"{n} is not {kind}")
+    D = davenport_exact(n, budget).value
+    threshold = D + f.big_omega - f.omega
+    if len(T) < threshold:
+        raise DomainError(
+            f"need length >= D + Omega - omega = {threshold}, got {len(T)}"
+        )
+    return f, D
 
 
 def extract_witness_prime_power(
@@ -234,24 +248,16 @@ def extract_witness_prime_power(
     |T1| >= k — then k terms of T1 multiply to 0 mod p^k — or T2 keeps
     at least D unit terms and contains a product-one subsequence.
     """
-    f = _split_threshold_args(T, n)
-    if not f.is_prime_power:
-        raise DomainError(f"{n} is not a prime power")
+    f, D = _at_threshold(T, n, budget, squarefree=False)
     p, k = f.factors[0]
-    dav = davenport_exact(n, budget)
-    threshold = dav.value + k - 1
-    if len(T) < threshold:
-        raise DomainError(
-            f"need length >= D + k - 1 = {threshold}, got {len(T)}"
-        )
     t1 = [a for a in T if a % p == 0]
     if len(t1) >= k:
         W = ResidueSequence(n, t1[:k])  # canonical order: k smallest
     else:
         t2 = [a for a in T if a % p != 0]
-        if len(t2) < dav.value:
+        if len(t2) < D:
             raise InconsistencyError(
-                f"pigeonhole failed: |T1|={len(t1)} < {k}, |T2|={len(t2)} < {dav.value}"
+                f"pigeonhole failed: |T1|={len(t1)} < {k}, |T2|={len(t2)} < {D}"
             )
         W = find_product_one_subsequence(ResidueSequence(n, t2))
         if W is None:
@@ -273,12 +279,7 @@ def extract_witness_squarefree(
     |T| >= D, and the corresponding original terms have a product that
     is 0 or 1 at every prime, hence idempotent.
     """
-    f = _split_threshold_args(T, n)
-    if not f.is_squarefree:
-        raise DomainError(f"{n} is not squarefree")
-    dav = davenport_exact(n, budget)
-    if len(T) < dav.value:
-        raise DomainError(f"need length >= D = {dav.value}, got {len(T)}")
+    f, _ = _at_threshold(T, n, budget, squarefree=True)
     pairs = [(a, lift_to_unit(a, f)) for a in T]
     picked = _min_product_one_pick(pairs, n)
     if picked is None:
@@ -401,10 +402,13 @@ def conjecture_scan(
     jobs: int = 1,
 ):
     """Iterator of one TheoremReport per n in [n_lo, n_hi], in ascending
-    n order regardless of worker count.  The range is checked here, before
-    any row is requested, and no more workers start than there are rows."""
+    n order regardless of worker count.  The range and jobs >= 1 are
+    checked here, before any row is requested, and no more workers start
+    than there are rows."""
     if n_lo < 2 or n_hi < n_lo:
         raise DomainError(f"bad scan range [{n_lo}, {n_hi}]")
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     ns = range(n_lo, n_hi + 1)
     workers = min(jobs, len(ns))
     if workers <= 1:

@@ -278,12 +278,8 @@ class FreeSearch:
         """Lexicographically smallest free sequence of the given length
         (which must be achievable — call after exists_free(length)
         returned True, so the walk reads its path from the memo)."""
-        if length == 0:
-            return ()
         terms: list[int] = []
-        S = 0
-        floor = 0
-        remaining = length
+        S, floor, remaining = 0, 0, length
         while remaining > 0:
             chunks = self._chunks(S)
             for idx in range(floor, len(self.candidates)):

@@ -95,7 +95,7 @@ def test_extract_squarefree(capsys):
 def test_extract_rejects_other_moduli(capsys):
     code, _, err = run_cli(capsys, "extract", "12", "--seq", "5,7,2")
     assert code == 2
-    assert "error" in err
+    assert "error" in err and "neither a prime power nor squarefree" in err
 
 
 def test_extract_rejects_out_of_range_terms(capsys):
@@ -262,6 +262,13 @@ def test_scan_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_scan_rejects_fewer_than_one_job(capsys, jobs):
+    code, out, err = run_cli(capsys, "scan", "--from", "2", "--to", "3", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert "jobs must be >= 1" in err
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_scan_bad_range_prints_no_header(capsys, fmt):
     code, out, err = run_cli(capsys, "scan", "--from", "5", "--to", "2", "--format", fmt)
@@ -424,3 +431,31 @@ def test_every_json_output_parses_strictly(capsys, argv):
     if isinstance(records, dict) and "budget" in records:
         assert records["budget"]["max_seconds"] is None  # as with no cap
     assert records
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (["construct", "195"], ["extract", "195", "--seq", "2,4,7"]),
+    ids=("construct", "extract"),
+)
+def test_an_undecided_davenport_constant_prints_its_record(capsys, argv):
+    """D((Z/195Z)^x) = D(C2+C4+C12) has no theorem here and stays
+    undecided at 500 states, so construct and extract, which need D,
+    print n, the status and D's bracket, and exit 3 only under --strict."""
+    budget = ["--max-states", "500"]
+    code, out, err = run_cli(capsys, *argv, *budget, "--format", "json")
+    assert code == 0 and "undecided at budget" in err
+    rec = _strict_json(out)
+    assert rec["command"] == argv[0]
+    assert rec["results"] == {
+        "n": 195,
+        "status": "undecided-at-budget",
+        "davenport_bounds": [16, 96],
+    }
+    code, out, _ = run_cli(capsys, *argv, *budget, "--strict", "--format", "json")
+    assert code == 3 and _strict_json(out)["results"] == rec["results"]
+    code, out, _ = run_cli(capsys, *argv, *budget, "--strict")
+    assert code == 3
+    keys = [line.split()[0] for line in out.splitlines()]
+    assert keys == ["n", "status", "davenport_bounds", "time"]
+    assert "undecided-at-budget" in out and "16,96" in out

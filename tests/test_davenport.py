@@ -10,7 +10,7 @@ from ebmod.davenport import (
     davenport_exact,
     davenport_formula_bound,
 )
-from ebmod.errors import UndecidedError
+from ebmod.errors import DomainError, UndecidedError
 from ebmod.search import FreeSearch, SearchBudget
 from ebmod.sequences import product_set
 from ebmod.unitgroup import totient, unit_group_shape
@@ -111,6 +111,12 @@ def test_result_is_cached():
     b = davenport_exact(12)
     assert a is b
     assert isinstance(a, DavenportResult)
+
+
+@pytest.mark.parametrize("n", (1, 10**12 + 1))
+def test_invalid_n_raises_although_the_cache_is_read_first(n):
+    with pytest.raises(DomainError):
+        davenport_exact(n)
 
 
 def test_undecided_at_tiny_budget():

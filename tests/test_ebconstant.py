@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -355,6 +356,31 @@ def test_extract_squarefree_preconditions():
         extract_witness_squarefree(ResidueSequence(6, (5,)), 6)  # below D
 
 
+def test_one_extraction_factorizes_n_once_when_d_is_cached(monkeypatch):
+    """The extractors' prologue factorizes n, and davenport_exact reads a
+    cached D before it would factorize n again.  Every module binding of
+    factorize is counted, as the benchmark's tracer counts them."""
+    calls = []
+    real = factorize
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("ebmod") and hasattr(mod, "factorize"):
+            monkeypatch.setattr(mod, "factorize", counted)
+    for extract, n, terms in (
+        (extract_witness_prime_power, 9, (2, 4, 5, 7, 8, 2, 4)),  # D + 2 - 1
+        (extract_witness_squarefree, 15, (1, 2, 4, 7, 8)),  # D
+    ):
+        T = ResidueSequence(n, terms)
+        extract(T, n)  # caches D and the unit group's coordinates
+        calls.clear()
+        extract(T, n)
+        assert calls == [n]
+
+
 def test_extractors_on_random_threshold_sequences():
     rng = random.Random(99)
     for _ in range(150):
@@ -442,6 +468,12 @@ def test_scan_checks_its_range_before_any_row_is_requested():
     for jobs in (1, 2):
         with pytest.raises(DomainError):
             conjecture_scan(5, 2, jobs=jobs)
+
+
+def test_scan_rejects_fewer_than_one_job_before_any_row_is_requested():
+    for jobs in (0, -1):
+        with pytest.raises(DomainError, match="jobs"):
+            conjecture_scan(2, 3, jobs=jobs)
 
 
 def test_strict_growth_along_witnesses():
