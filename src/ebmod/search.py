@@ -20,8 +20,9 @@ what the tests' independent search runs on.
 Key facts the engine leans on:
 
 * Canonical order.  Sequences are multisets, so the search enumerates
-  only nondecreasing term orders: state is (product-set bitmask, lowest
-  candidate index still allowed).
+  only nondecreasing term orders: a query is a product-set bitmask S
+  and a floor, the lowest candidate index still allowed.  The memo
+  keeps one entry per S, whatever floors S is queried at.
 
 * Strict growth.  Adding a term to a free sequence strictly grows the
   product set (if it didn't, some power of the added term would already
@@ -44,11 +45,18 @@ Key facts the engine leans on:
   AND before its image is built.  A surviving candidate with one term
   left to place proves its state outright, without building T.
 
-* Monotone reach.  If state S extends by r further terms, it extends by
-  fewer; if it cannot extend by r, it cannot extend by more.  The memo
-  therefore stores per state a pair (best r proven reachable, worst r
-  proven unreachable) packed into one int, and is shared across all
-  probes and the witness reconstruction.
+* Monotone reach.  If S extends by r further terms, it extends by
+  fewer; if it cannot extend by r, it cannot extend by more.  Reach is
+  monotone in the floor too: candidates[g:] contains candidates[f:] when
+  g <= f, so an extension by r from floor f is one from every lower
+  floor, and none from f means none from any higher floor.  The entry
+  for S packs into one int the floor f it was last computed at and two
+  bounds there, the best r proven reachable and the worst r proven
+  unreachable.  A query at a floor g <= f answers True up to the first
+  bound, one at g >= f answers False from the second; any other query
+  runs the candidate loop at g, starting from the bound that still
+  holds, and overwrites the entry with g's bounds.  The memo is shared
+  across all probes and the witness reconstruction.
 
 Probing order exploits the cost asymmetry: refuting length r costs
 roughly exponential in the slack cap - r, so longest_free gallops
@@ -76,8 +84,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DomainError, InconsistencyError
 
-_LO_SHIFT = 20  # memo packing: hi_true | (lo_false << _LO_SHIFT)
+# memo packing: hi_true | lo_false << _LO_SHIFT | floor << _FLOOR_SHIFT
+_LO_SHIFT = 20
 _LO_INIT = (1 << _LO_SHIFT) - 1
+_FLOOR_SHIFT = 2 * _LO_SHIFT
 _TIME_CHECK_PERIOD = 4096
 
 
@@ -85,10 +95,11 @@ _TIME_CHECK_PERIOD = 4096
 class SearchBudget:
     """Resource limits for one exact search.
 
-    max_states caps the memo table (distinct explored states); blowing
-    it raises BudgetExceeded, which callers convert into an honest
-    undecided verdict.  max_seconds is wall-clock, checked coarsely.
-    Both must be >= 0; 0 and inf are legal, NaN is not.
+    max_states caps the memo table, one entry per distinct product set
+    explored; blowing it raises BudgetExceeded, which callers convert
+    into an honest undecided verdict.  max_seconds is wall-clock,
+    checked coarsely.  Both must be >= 0; 0 and inf are legal, NaN is
+    not.
     """
 
     max_states: int = 1 << 26
@@ -159,7 +170,6 @@ class FreeSearch:
         self._nbytes = (size + 7) // 8
         # a forbidden term is never part of a free sequence
         self.candidates = sorted(a for a in monoid.candidates if not forbidden >> a & 1)
-        self._floor_shift = (len(self.candidates) + 1).bit_length()
         self._memo: dict[int, int] = {}
         self._states = 0
         self._deadline = (
@@ -232,16 +242,20 @@ class FreeSearch:
             return True
         if S.bit_count() + r > self.cap:
             return False
-        key = (S << self._floor_shift) | floor
-        ent = self._memo.get(key)
+        ent = self._memo.get(S)
         if ent is None:
             self._tick()
-            ent = _LO_INIT << _LO_SHIFT  # hi_true 0, lo_false "infinity"
-            self._memo[key] = ent
+            hi, lo = 0, _LO_INIT  # hi_true 0, lo_false "infinity"
         else:
-            if r <= ent & _LO_INIT:
+            # the entry's bounds hold at its floor f; a lower floor allows
+            # more candidates, so hi_true still holds there, and a higher
+            # one fewer, so lo_false does
+            f = ent >> _FLOOR_SHIFT
+            hi = ent & _LO_INIT if floor <= f else 0
+            lo = ent >> _LO_SHIFT & _LO_INIT if floor >= f else _LO_INIT
+            if r <= hi:
                 return True
-            if r >= ent >> _LO_SHIFT:
+            if r >= lo:
                 return False
         bad = self._bad
         chunks = self._chunks(S)
@@ -256,11 +270,9 @@ class FreeSearch:
                 T = self._image(S, chunks, idx)
                 if T.bit_count() > room or not self._reach(T, idx, r - 1):
                     continue
-            if r > ent & _LO_INIT:
-                self._memo[key] = (ent >> _LO_SHIFT << _LO_SHIFT) | r
+            self._memo[S] = floor << _FLOOR_SHIFT | lo << _LO_SHIFT | r
             return True
-        if r < ent >> _LO_SHIFT:
-            self._memo[key] = (r << _LO_SHIFT) | (ent & _LO_INIT)
+        self._memo[S] = floor << _FLOOR_SHIFT | r << _LO_SHIFT | hi
         return False
 
     def exists_free(self, r: int) -> bool:

@@ -16,6 +16,7 @@ from math import gcd
 import pytest
 
 from ebmod.arith import factorize
+from ebmod.davenport import _unit_monoid
 from ebmod.ebconstant import _quotient_monoid, _quotient_size
 from ebmod.errors import BudgetExceeded, DomainError
 from ebmod import search
@@ -254,6 +255,58 @@ def test_image_matches_reference_on_arbitrary_masks(n):
             chunks = engine._chunks(S)
             for idx, a in enumerate(engine.candidates):
                 assert engine._image(S, chunks, idx) == reference_image(engine, a, S)
+
+
+@pytest.mark.parametrize("kind, n", [("M", 12), ("M", 36), ("dav", 63)])
+def test_memo_answers_do_not_depend_on_query_order(kind, n):
+    # One long-lived engine answers a seeded stream of _reach queries whose
+    # product sets recur at lower and higher floors; each answer must be
+    # the one a fresh engine gives that query alone.  The memo keeps one
+    # entry per product set, so the engine never holds more states than
+    # the distinct product sets its _reach saw, the recursion's included.
+    if kind == "M":
+        f = factorize(n)
+        monoid, cap = _quotient_monoid(f), _quotient_size(f)[1]
+        forbidden = set(brute_idempotents(n))
+    else:
+        monoid, forbidden = _unit_monoid(n), {1}
+        cap = len(monoid.labels) - 2
+    engine = FreeSearch(monoid, cap, SearchBudget())
+    seen: set[int] = set()
+    real_reach = engine._reach
+
+    def recording(S, floor, r):
+        seen.add(S)
+        return real_reach(S, floor, r)
+
+    engine._reach = recording  # the recursion reads it from the instance
+    rng = random.Random(7 * n)
+    sequences = _random_free_sequences(
+        n, [monoid.labels[a] for a in engine.candidates], forbidden, rng, count=30, max_len=5
+    )
+    # the empty product set is left out: at floor 0 its refutations are
+    # whole searches, about 180k states each in the units mod 63
+    masks = [
+        _mask(monoid.index[r] for r in brute_product_set(seq, n)) for seq in sequences[1:]
+    ]
+    last_floor: dict[int, int] = {}
+    repeats = {"lower": 0, "higher": 0}
+    verdicts = set()
+    for _ in range(120):
+        if last_floor and rng.random() < 0.5:
+            S = rng.choice(sorted(last_floor))
+        else:
+            S = rng.choice(masks)
+        floor = rng.randrange(len(engine.candidates) + 1)
+        r = rng.randint(0, cap - S.bit_count() + 1)
+        if S in last_floor and floor != last_floor[S]:
+            repeats["lower" if floor < last_floor[S] else "higher"] += 1
+        last_floor[S] = floor
+        got = engine._reach(S, floor, r)
+        assert got == FreeSearch(monoid, cap, SearchBudget())._reach(S, floor, r), (S, floor, r)
+        assert engine.states_used <= len(seen)
+        verdicts.add(got)
+    assert min(repeats.values()) > 0 and verdicts == {True, False}, (repeats, verdicts)
 
 
 def test_image_tables_are_built_on_first_use():
