@@ -323,8 +323,7 @@ def cmd_scan(args) -> int:
         writer.writeheader()
         for d in records():
             writer.writerow({k: _cell(k, v) for k, v in d.items()})
-            if args.stream:
-                sys.stdout.flush()
+            sys.stdout.flush()
     else:
         print("  ".join(h.ljust(w) for _, h, w in _SCAN_COLUMNS).rstrip())
         for d in records():
@@ -333,9 +332,7 @@ def cmd_scan(args) -> int:
                 c = _cell(k, d[k])
                 shown = _paint(c) if k == "status" else c
                 padded.append(shown + " " * max(0, w - len(c)))
-            print("  ".join(padded).rstrip())
-            if args.stream:
-                sys.stdout.flush()
+            print("  ".join(padded).rstrip(), flush=True)
     return 3 if undecided and args.strict else 0
 
 
@@ -422,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stream",
         action="store_true",
-        help="emit rows as they complete (JSON becomes NDJSON)",
+        help="JSON becomes NDJSON (rows always print as they complete)",
     )
     _add_common_flags(p, formats=("table", "json", "csv"))
     _add_budget_flags(p)

@@ -25,6 +25,7 @@ theorem's class, else phi(n) (strict growth inside the unit group).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from . import certify
@@ -33,11 +34,6 @@ from .errors import UndecidedError
 from .search import Monoid, SearchBudget, longest_free
 from .sequences import ResidueSequence
 from .unitgroup import invariant_generators, totient, unit_group_shape, units
-
-# Decided values are budget-independent, so one cache serves all callers.
-# A construction witness is cached under (n, budget) only, so a larger
-# budget still walks to the lexicographically smallest one.
-_cache: dict[int | tuple[int, SearchBudget], "DavenportResult"] = {}
 
 
 @dataclass(frozen=True)
@@ -90,6 +86,9 @@ def _unit_monoid(n: int) -> Monoid:
     return Monoid(n, labels, index, 1 << 1, range(1, len(labels)))
 
 
+# A repeated call with equal arguments returns the same object; a call
+# with another budget decides afresh, and a raised error is not kept.
+@cache
 def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportResult:
     """Exact D((Z/nZ)^x): the theorem's value where _theorem cites one,
     else by exhaustive search over canonical unit sequences with
@@ -105,10 +104,7 @@ def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportR
     construction, hi by the theorem in its class, else by strict
     growth).
     """
-    got = _cache.get(n) or _cache.get((n, budget))
-    if got is not None:
-        return got
-    f = factorize(n)  # validates n; only a validated n is ever cached
+    f = factorize(n)
     shape = unit_group_shape(f)
     formula = davenport_formula_bound(shape)
     theorem = _theorem(shape)
@@ -137,6 +133,4 @@ def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportR
             bounds=found.bounds,
         )
     certify.product_one_free(witness, value)
-    result = DavenportResult(n=n, value=value, witness=witness, method=method)
-    _cache[n if found.value is not None else (n, budget)] = result
-    return result
+    return DavenportResult(n=n, value=value, witness=witness, method=method)

@@ -47,7 +47,6 @@ labels.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
@@ -417,5 +416,6 @@ def conjecture_scan(
 
 
 def _pooled_scan(ns: range, budget: SearchBudget, workers: int):
+    from concurrent.futures import ProcessPoolExecutor  # a serial scan never loads it
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(verify_theorem, ns, repeat(budget), chunksize=1)

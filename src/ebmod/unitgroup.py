@@ -11,13 +11,11 @@ logarithm.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, prod
 
 from .arith import Factorization, crt_combine, factorize
 from .errors import DomainError, InconsistencyError
-
-# n -> log_index(n), filled on first use
-_log_cache: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
 
 
 def totient(f: Factorization) -> int:
@@ -127,6 +125,7 @@ def invariant_generators(f: Factorization) -> tuple[tuple[int, int], ...]:
     return out
 
 
+@cache
 def log_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
     """Discrete-log coordinates of (Z/nZ)^x.  With (g_1, d_1), ...,
     (g_s, d_s) its invariant generators, the unit prod g_i^e_i
@@ -134,20 +133,17 @@ def log_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
     stride_i = d_1 * ... * d_(i-1); the identity is index 0.  Returns the
     unit -> index map and (d_1, ..., d_s).
     Built once per n, at O(phi(n)) multiplications."""
-    got = _log_cache.get(n)
-    if got is None:
-        f = factorize(n)
-        gens = invariant_generators(f)
-        flat = [1]
-        for g, d in gens:
-            powers = [1]
-            for _ in range(d - 1):
-                powers.append(powers[-1] * g % n)
-            flat = [x * y % n for y in powers for x in flat]
-        index = {u: i for i, u in enumerate(flat)}
-        if len(index) != totient(f):
-            raise InconsistencyError(
-                f"exponent vectors of (Z/{n}Z)^x are not one per unit"
-            )  # unreachable
-        got = _log_cache[n] = (index, tuple(d for _, d in gens))
-    return got
+    f = factorize(n)
+    gens = invariant_generators(f)
+    flat = [1]
+    for g, d in gens:
+        powers = [1]
+        for _ in range(d - 1):
+            powers.append(powers[-1] * g % n)
+        flat = [x * y % n for y in powers for x in flat]
+    index = {u: i for i, u in enumerate(flat)}
+    if len(index) != totient(f):
+        raise InconsistencyError(
+            f"exponent vectors of (Z/{n}Z)^x are not one per unit"
+        )  # unreachable
+    return index, tuple(d for _, d in gens)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -170,17 +171,19 @@ def test_a_budget_that_bounds_nothing_exits_2(capsys, flags):
 
 
 def test_undecided_exit_codes(capsys):
-    import ebmod.davenport as dav_mod
-
-    dav_mod._cache.pop(168, None)
     code, out, _ = run_cli(capsys, "davenport", "168", "--max-states", "500")
     assert code == 0  # informative, not strict
     assert "undecided" in out
-    dav_mod._cache.pop(168, None)
     code, out, _ = run_cli(
         capsys, "davenport", "168", "--max-states", "500", "--strict"
     )
     assert code == 3
+
+
+def test_a_proved_class_row_with_d_undecided_exits_3_under_strict(capsys):
+    # 195 is squarefree, but D((Z/195Z)^x) has no theorem and stays open
+    code, out, _ = run_cli(capsys, "verify", "195", "--max-states", "500", "--strict")
+    assert code == 3 and "davenport undecided" in out
 
 
 @pytest.mark.parametrize(
@@ -214,6 +217,13 @@ def test_scan_ndjson_stream(capsys):
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [r["n"] for r in lines] == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_stream_changes_only_json(capsys, fmt):
+    # table and CSV rows print as they complete with or without --stream
+    argv = ("scan", "--from", "2", "--to", "12", "--format", fmt)
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--stream")
 
 
 def test_scan_csv_matches_json(capsys):
@@ -296,7 +306,7 @@ class _RecordingPool:
 
 
 def test_scan_starts_no_more_workers_than_rows(capsys, monkeypatch):
-    monkeypatch.setattr(ebc_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "started", [])
     code, out, _ = run_cli(capsys, "scan", "--from", "2", "--to", "4", "--jobs", "8")
     assert code == 0 and out.count("THEOREM_PRIME_POWER") == 3

@@ -90,9 +90,13 @@ def test_method_field():
 
 def test_method_field_of_a_searched_value(monkeypatch):
     # with no theorem to cite, the search decides D and checks the formula
+    # the answer must not outlive the patch, so the memo is cleared both ways
+    davenport_exact.cache_clear()
     monkeypatch.setattr(dav_mod, "_theorem", lambda shape: None)
-    monkeypatch.setattr(dav_mod, "_cache", {})
-    r = davenport_exact(12)
+    try:
+        r = davenport_exact(12)
+    finally:
+        davenport_exact.cache_clear()
     assert (r.value, r.method) == (3, "formula-cross-checked")
 
 
@@ -120,7 +124,6 @@ def test_invalid_n_raises_although_the_cache_is_read_first(n):
 
 
 def test_undecided_at_tiny_budget():
-    dav_mod._cache.pop(168, None)  # ensure the tiny budget is really used
     with pytest.raises(UndecidedError) as info:
         davenport_exact(168, SearchBudget(max_states=500))
     lo, hi = info.value.bounds
@@ -131,7 +134,6 @@ def test_undecided_at_tiny_budget():
 
 
 def test_undecided_at_tiny_time_budget():
-    dav_mod._cache.pop(195, None)
     with pytest.raises(UndecidedError):
         davenport_exact(195, SearchBudget(max_seconds=0.05))
 
@@ -158,8 +160,8 @@ def test_theorem_rows_run_no_refutation(monkeypatch):
         return got
 
     monkeypatch.setattr(FreeSearch, "exists_free", counted)
+    davenport_exact.cache_clear()
     for n in range(2, 101):
-        dav_mod._cache.pop(n, None)
         verdicts.clear()
         r = davenport_exact(n)
         assert all(got for _, got in verdicts), (n, verdicts)
@@ -168,8 +170,7 @@ def test_theorem_rows_run_no_refutation(monkeypatch):
 
 
 @pytest.mark.parametrize("n", (5, 7, 13, 85, 93))
-def test_spent_walk_keeps_the_theorem_value_with_the_construction(monkeypatch, n):
-    monkeypatch.setattr(dav_mod, "_cache", {})
+def test_spent_walk_keeps_the_theorem_value_with_the_construction(n):
     r = davenport_exact(n, SearchBudget(max_states=1))
     assert r.value == davenport_formula_bound(unit_group_shape(factorize(n)))
     certify.product_one_free(r.witness, r.value)
@@ -180,19 +181,26 @@ def test_a_refused_theorem_search_brackets_at_the_formula():
     # Olson's rank-2 theorem gives D((Z/4097Z)^x) = 255, but the engine's
     # size guard refuses even the witness walk there: the row stays
     # undecided, with the theorem closing its bracket
-    dav_mod._cache.pop(4097, None)
     with pytest.raises(UndecidedError) as info:
         davenport_exact(4097)
     assert info.value.bounds == (255, 255)
 
 
-def test_a_construction_witness_is_cached_for_its_budget_only(monkeypatch):
-    monkeypatch.setattr(dav_mod, "_cache", {})
+def test_a_construction_witness_is_cached_for_its_budget_only():
     tiny = SearchBudget(max_states=1)
     r = davenport_exact(13, tiny)
     assert r.witness.as_tuple() == (11,) * 11  # a generator of (Z/13Z)^x
     assert davenport_exact(13, tiny) is r
     assert davenport_exact(13).witness.as_tuple() == (2,) * 11  # lex-smallest
+
+
+def test_a_decided_value_does_not_answer_a_call_at_another_budget():
+    # each call's answer depends on its own arguments only: D(13) decided
+    # at the default budget does not stand in for a walk that runs out
+    assert davenport_exact(13).witness.as_tuple() == (2,) * 11
+    r = davenport_exact(13, SearchBudget(max_states=1))
+    assert r.witness.as_tuple() == (11,) * 11
+    assert r.method == RANK_2 + " + construction"
 
 
 def test_davenport_91_decides_within_ten_thousand_states(monkeypatch):
@@ -203,6 +211,6 @@ def test_davenport_91_decides_within_ten_thousand_states(monkeypatch):
         assert self.states_used <= 10_000, "the walk should need no refutation"
 
     monkeypatch.setattr(FreeSearch, "_tick", capped)
-    dav_mod._cache.pop(91, None)
+    davenport_exact.cache_clear()
     r = davenport_exact(91)
     assert r.value == 17 and not r.method.endswith(" + construction")

@@ -130,7 +130,6 @@ def test_out_of_reach_rows_are_undecided_before_any_linear_work(monkeypatch):
     monkeypatch.setattr(ebc_mod, "_quotient_monoid", boom)
     for mod in (seq_mod, certify_mod):
         monkeypatch.setattr(mod, "_idempotent_mask", boom)
-    monkeypatch.setattr(dav_mod, "_cache", {})
     with pytest.raises(UndecidedError) as info:
         davenport_exact(10000019)  # a prime: Olson's theorem closes the bracket
     assert info.value.bounds == (10000018, 10000018)
@@ -211,7 +210,6 @@ def test_a_theorem_floor_that_is_too_high_is_refuted(monkeypatch):
 
 
 def test_eb_undecided_at_tiny_budget():
-    dav_mod._cache.pop(168, None)
     r = eb_exact(168, SearchBudget(max_states=500))
     assert r.status == STATUS_UNDECIDED
     assert r.value is None and r.witness is None
@@ -229,13 +227,11 @@ BRACKET_N = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 def test_tiny_budget_brackets_contain_brute_values(monkeypatch, max_states):
     budget = SearchBudget(max_states=max_states)
     for n in BRACKET_N:
-        monkeypatch.setattr(dav_mod, "_cache", {})
         try:
             assert davenport_exact(n, budget).value == brute_davenport(n)
         except UndecidedError as exc:
             lo, hi = exc.bounds
             assert lo <= brute_davenport(n) <= hi
-        monkeypatch.setattr(dav_mod, "_cache", {})
         r = eb_exact(n, budget)
         f = factorize(n)
         if f.omega == 1 or f.is_squarefree:
@@ -267,7 +263,6 @@ def test_undecided_bracket_uses_lengths_the_search_proved(monkeypatch, n, max_st
 def test_eb_result_carries_the_davenport_side():
     r = eb_exact(12)
     assert (r.davenport, r.davenport_bounds, r.lower_bound) == (3, None, 4)
-    dav_mod._cache.pop(168, None)
     r = eb_exact(168, SearchBudget(max_states=500))
     assert (r.davenport, r.davenport_bounds, r.lower_bound) == (None, (9, 48), None)
 
@@ -289,10 +284,18 @@ def test_verify_theorem_runs_one_davenport_search(monkeypatch):
     """An undecided D is not cached, so a second Davenport call would pay
     its budget again; verify_theorem takes D from eb_exact instead."""
     masks = _engine_masks(monkeypatch)
-    dav_mod._cache.pop(168, None)
     rep = verify_theorem(168, SearchBudget(max_states=500))
     assert (rep.davenport, rep.davenport_bounds) == (None, (9, 48))
     assert sorted(masks) == [1 << 1, _quotient_monoid(factorize(168)).forbidden]
+
+
+def test_a_proved_class_row_stays_undecided_when_d_does():
+    # 195 = 3*5*13 is squarefree, so the theorem pins I = D, but D(C2+C4+C12)
+    # has no theorem here and the search for either constant runs out
+    rep = verify_theorem(195, SearchBudget(max_states=500))
+    assert (rep.status, rep.note) == (SCAN_UNDECIDED, "davenport undecided")
+    assert (rep.davenport_bounds, rep.eb_bounds) == ((16, 96), (16, 188))
+    assert not rep.lower_bound_certified and rep.witness is None
 
 
 def test_verify_theorem_walks_a_spent_davenport_side_once(monkeypatch):
@@ -300,7 +303,7 @@ def test_verify_theorem_walks_a_spent_davenport_side_once(monkeypatch):
     # walk runs out; construct_extremal reuses that result at the same
     # budget instead of walking again
     masks = _engine_masks(monkeypatch)
-    monkeypatch.setattr(dav_mod, "_cache", {})
+    davenport_exact.cache_clear()
     rep = verify_theorem(85, SearchBudget(max_states=500))
     assert rep.davenport == 19 and rep.lower_bound_certified
     assert sorted(masks) == [1 << 1, _quotient_monoid(factorize(85)).forbidden]
@@ -440,7 +443,6 @@ def test_scan_statuses_and_consistency():
 
 
 def test_scan_undecided_rows_carry_brackets():
-    dav_mod._cache.pop(168, None)
     rows = list(conjecture_scan(168, 168, SearchBudget(max_states=500)))
     (row,) = rows
     assert row.status == SCAN_UNDECIDED

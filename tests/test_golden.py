@@ -1,9 +1,7 @@
 """Byte-for-byte CLI outputs against files under tests/golden/.
 
 Timing is the only run-dependent output, so the `"timing_seconds"` JSON
-line and the `time` line of a table are dropped before comparing.  Runs
-at a reduced state budget pop the cached Davenport value first, so the
-budget really binds.
+line and the `time` line of a table are dropped before comparing.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -17,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-import ebmod.davenport as dav_mod
 from ebmod.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,10 +58,6 @@ for _name, _argv in (
 
 def render(argv: list[str]) -> str:
     """Exit code and stdout of one in-process CLI run, timing lines dropped."""
-    if "--max-states" in argv:
-        for a in argv:
-            if a.isdigit():
-                dav_mod._cache.pop(int(a), None)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)

@@ -1,4 +1,5 @@
-"""Every name a module of ebmod imports is read in that module.
+"""Every name a module of ebmod imports is read in that module, and
+importing the CLI loads no process pool.
 
 The package __init__ imports to re-export, and __future__ imports are
 directives, so both are exempt.
@@ -6,6 +7,9 @@ directives, so both are exempt.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,16 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_cli_loads_no_process_pool():
+    # only a scan with more than one job starts worker processes
+    probe = (
+        "import sys, ebmod.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
