@@ -20,41 +20,62 @@ what the tests' independent search runs on.
 Key facts the engine leans on:
 
 * Canonical order.  Sequences are multisets, so the search enumerates
-  only nondecreasing term orders: a query is a product-set bitmask S
-  and a floor, the lowest candidate index still allowed.  The memo
-  keeps one entry per S, whatever floors S is queried at.
+  only nondecreasing term orders: a query is a state (below) and a
+  floor, the lowest element still allowed as the next term.  The memo
+  keeps one entry per product set S, whatever floors S is queried at.
 
 * Strict growth.  Adding a term to a free sequence strictly grows the
   product set (if it didn't, some power of the added term would already
   be an achieved product and idempotent/one, contradicting freeness).
   Hence a free sequence of length L has |product set| >= L, and L can
   never exceed cap = (number of monoid elements that may appear in a
-  free product set).  This yields the slack pruning rule
-  popcount(S) + r > cap  =>  no r-term extension exists.
+  free product set).
 
-* Forbidden-preimage prefilter.  For each candidate a the engine keeps
-  bad(a) = {s : s*a is forbidden} as one size-bit mask.  Let S be
-  the product set of a free sequence and T = S | {a} | S*a the product
-  set after appending a.  Then T meets the forbidden set exactly when
-  a is forbidden or S & bad(a) != 0.  Proof: S avoids the forbidden set
-  because the sequence is free, so T meets it exactly when {a} or S*a
-  does; {a} does iff a is forbidden, and S*a does iff some s in S has
-  s*a forbidden, i.e. iff s lies in S and in bad(a).  Forbidden
-  candidates can never appear in a free sequence, so the constructor
-  drops them, and every remaining candidate is then tested with one
-  AND before its image is built.  A surviving candidate with one term
-  left to place proves its state outright, without building T.
+* The state word.  Call a candidate that is not forbidden usable; the
+  caller's candidates must be closed in the sense that a product of
+  usable elements is usable or forbidden, which holds for the units,
+  for M(n) and for Z/nZ with every residue a candidate.  For a product
+  set S let bad(S) = {x usable : s*x is forbidden for some s in S}, and
+  carry a state as the one int W = S | bad(S) << size.  Appending a
+  usable a to a free sequence with product set S gives T = S | {a} |
+  S*a, which is free exactly when a is not in bad(S): S avoids the
+  forbidden set, {a} does since a is usable, and S*a meets it iff some
+  s in S has s*a forbidden.  So the terms a free state may take next
+  are the set bits of (usable elements >= floor) & ~bad(S), and the
+  walk tests no candidate one by one.  Writing word(t) = {t} | pre(t)
+  << size with pre(t) = {x usable : t*x forbidden}, bad(T) is the union
+  of pre(t) over t in T, so T's word is W | word(a) | the OR of
+  word(s*a) over s in S.  A per-candidate table holds that OR for every
+  subset of each 8-element chunk of S, so one OR pass over S's nonzero
+  chunks builds T and bad(T) together.  A state with one term left to
+  place is proved by any allowed term, without building a child.
+
+* The allowed-set bound.  If T (free) extends by r more terms b_1..b_r,
+  their own product set P avoids the forbidden set, and P*T does too,
+  so P misses bad(T); P holds products of usable elements, none
+  forbidden, so P lies in the usable set; and b_1..b_r is free on its
+  own, so |P| >= r by strict growth.  Hence r <= |usable| - |bad(T)|,
+  and a child T with |bad(T)| + (r - 1) > |usable| is dropped where it
+  is made, before it becomes a state.  The bound is at least as strong
+  as the slack test |T| + r > cap it replaces wherever cap = |usable|,
+  as for both callers, since there |bad(T)| >= |T|.  In a unit group
+  bad(T) = T^-1, so the two tests coincide.  In M(n) the map acting
+  componentwise by u -> u^-1 on a unit, p^j -> p^(k - j) for 1 <= j <
+  k and p^k -> p^k is an involution, hence injective, and it sends
+  each t to an element t' with t*t' idempotent in every component; t'
+  is idempotent only when t is, and T has no idempotent, so t' is
+  usable (every element of M(n) is a candidate) and lies in bad(T).
 
 * Monotone reach.  If S extends by r further terms, it extends by
   fewer; if it cannot extend by r, it cannot extend by more.  Reach is
-  monotone in the floor too: candidates[g:] contains candidates[f:] when
+  monotone in the floor too: the elements >= g include those >= f when
   g <= f, so an extension by r from floor f is one from every lower
   floor, and none from f means none from any higher floor.  The entry
   for S packs into one int the floor f it was last computed at and two
   bounds there, the best r proven reachable and the worst r proven
   unreachable.  A query at a floor g <= f answers True up to the first
   bound, one at g >= f answers False from the second; any other query
-  runs the candidate loop at g, starting from the bound that still
+  runs the candidate walk at g, starting from the bound that still
   holds, and overwrites the entry with g's bounds.  The memo is shared
   across all probes and the witness reconstruction.
 
@@ -119,7 +140,9 @@ class Monoid(NamedTuple):
     residue that a product of two labels can take to its class, so when
     taking classes is a homomorphism, product() is the monoid's product.
     forbidden masks the forbidden elements; candidates lists the
-    elements a sequence may use (the engine drops the forbidden ones)."""
+    elements a sequence may use (the engine drops the forbidden ones),
+    and a product of two of them must be one of them or forbidden, as
+    the allowed-set bound of the module docstring requires."""
 
     n: int
     labels: Sequence[int]
@@ -137,7 +160,13 @@ def _check_size(size: int, cap: int) -> None:
     read these two numbers only, so they run before any O(size) work."""
     if cap >= 1 << _LO_SHIFT:
         raise BudgetExceeded(f"state space of a {size}-element monoid is out of reach")
-    table_cells = cap * ((size + 7) // 8) * 256  # at most one table per candidate
+    # At most one table per candidate.  A cell is an 8-byte list slot
+    # holding a state word, a 2*size-bit int of 24 + 4*ceil(size/15)
+    # bytes, so the 2^23 cells admitted take at most 2^23 * (32 +
+    # 4*ceil(size/15)) bytes: 1.3 GiB at size 512, the largest that
+    # passes with cap = size - 2, and more at larger sizes with smaller
+    # caps.  Cells holding S alone took about 60% of that.
+    table_cells = cap * ((size + 7) // 8) * 256
     if table_cells > 1 << 23:
         raise BudgetExceeded(
             f"image tables of a {size}-element monoid could need {table_cells} cells"
@@ -157,19 +186,33 @@ class FreeSearch:
     monoid.product.  cap bounds every free length, and it counts at
     least the usable candidates (each is a one-term free sequence whose
     product set avoids the forbidden elements).  The size guards are not
-    run here: longest_free runs them before it builds the monoid.  A
-    candidate's image table is built on its first _image, so a walk
-    that tries few candidates builds few tables."""
+    run here: longest_free runs them before it builds the monoid.  The
+    words of all elements are built up front; a candidate's image table
+    is built on the first child it makes, so a walk that tries few
+    candidates builds few tables."""
 
     def __init__(self, monoid: Monoid, cap: int, budget: SearchBudget):
         self.size = size = len(monoid.labels)
-        self.product = monoid.product
+        self.product = product = monoid.product
         self.forbidden = forbidden = monoid.forbidden
         self.cap = cap
         self.budget = budget
         self._nbytes = (size + 7) // 8
+        self._low = (1 << size) - 1
         # a forbidden term is never part of a free sequence
-        self.candidates = sorted(a for a in monoid.candidates if not forbidden >> a & 1)
+        self.candidates = cands = sorted(
+            a for a in monoid.candidates if not forbidden >> a & 1
+        )
+        self._usable_count = len(cands)
+        usable = sum(1 << a for a in cands)
+        # _above[f]: the usable elements >= f, for every floor f
+        self._above = [usable >> f << f for f in range(size + 1)]
+        # _word[t]: the state word of the product set {t}
+        self._word = [
+            1 << t
+            | sum(1 << x for x in cands if forbidden >> product(t, x) & 1) << size
+            for t in range(size)
+        ]
         self._memo: dict[int, int] = {}
         self._states = 0
         self._deadline = (
@@ -177,31 +220,21 @@ class FreeSearch:
             if budget.max_seconds is not None
             else None
         )
-        self._selfbit = [1 << a for a in self.candidates]
-        self._bad = [self._forbidden_preimage(a) for a in self.candidates]
-        self._tables: list[list[int] | None] = [None] * len(self.candidates)
-
-    def _forbidden_preimage(self, a: int) -> int:
-        """Mask of the elements s with s*a forbidden."""
-        product, forbidden = self.product, self.forbidden
-        return sum(1 << s for s in range(self.size) if forbidden >> product(s, a) & 1)
+        self._tables: list[list[int] | None] = [None] * size
 
     def _build_table(self, a: int) -> list[int]:
-        """Per 8-bit chunk c of a product-set mask, the OR of images
-        s -> s*a for every subset b of that chunk, at index c << 8 | b.
-        Built incrementally: image(v) = image(v minus lowest bit) |
-        image(lowest bit)."""
-        size, product = self.size, self.product
-        table = [0] * (self._nbytes << 8)
-        for c in range(self._nbytes):
-            base = 8 * c
-            off = c << 8
-            for j in range(min(8, size - base)):
-                table[off | 1 << j] = 1 << product(base + j, a)
-            for v in range(3, 256):
-                low = v & -v
-                if v != low:
-                    table[off | v] = table[off | v & (v - 1)] | table[off | low]
+        """Per 8-bit chunk c of a product set, the OR of the words of s*a
+        over every subset b of that chunk, at index c << 8 | b.  Each
+        element of the chunk doubles the entries built so far."""
+        product, word = self.product, self._word
+        table: list[int] = []
+        for base in range(0, self.size, 8):
+            chunk = [0]
+            for s in range(base, min(base + 8, self.size)):
+                bit = word[product(s, a)]
+                chunk += [v | bit for v in chunk]
+            table += chunk
+        self._tables[a] = table
         return table
 
     def _chunks(self, S: int) -> list[int]:
@@ -212,16 +245,15 @@ class FreeSearch:
             if b
         ]
 
-    def _image(self, S: int, chunks: list[int], idx: int) -> int:
-        """Product set after appending candidates[idx] to a sequence
-        whose product set is S, given chunks = self._chunks(S)."""
-        tbl = self._tables[idx]
-        if tbl is None:
-            tbl = self._tables[idx] = self._build_table(self.candidates[idx])
-        img = S | self._selfbit[idx]
+    def _child(self, W: int, chunks: list[int], a: int) -> int:
+        """State word after appending the usable element a to a free
+        sequence whose state word is W, given chunks = self._chunks(S)
+        for its product set S."""
+        tbl = self._tables[a] or self._build_table(a)
+        T = W | self._word[a]
         for cb in chunks:
-            img |= tbl[cb]
-        return img
+            T |= tbl[cb]
+        return T
 
     def _tick(self) -> None:
         self._states += 1
@@ -235,13 +267,18 @@ class FreeSearch:
                     f"search exceeded {self.budget.max_seconds} seconds"
                 )
 
-    def _reach(self, S: int, floor: int, r: int) -> bool:
-        """Can the free state S be extended by r further terms drawn
-        (nondecreasingly) from candidates[floor:]?"""
+    def _reach(self, W: int, floor: int, r: int) -> bool:
+        """Can the free sequence whose state word is W be extended by r
+        further terms drawn (nondecreasingly) from the usable elements
+        >= floor?"""
         if r == 0:
             return True
-        if S.bit_count() + r > self.cap:
+        bad = W >> self.size
+        if bad.bit_count() + r > self._usable_count:
+            # the allowed-set bound, for the first terms exists_free and
+            # witness try; the walk below drops a child before the call
             return False
+        S = W & self._low
         ent = self._memo.get(S)
         if ent is None:
             self._tick()
@@ -257,23 +294,31 @@ class FreeSearch:
                 return True
             if r >= lo:
                 return False
-        bad = self._bad
-        chunks = self._chunks(S)
-        room = self.cap - (r - 1)  # a child above this fails its slack test
-        for idx in range(floor, len(self.candidates)):
-            if S & bad[idx]:
-                continue  # the extension is not free (prefilter)
-            # The extension T is free, so T != S: a stalled product set
-            # would mean some power of the new term is already an
-            # achieved forbidden product.  With r == 1, T proves S.
-            if r > 1:
-                T = self._image(S, chunks, idx)
-                if T.bit_count() > room or not self._reach(T, idx, r - 1):
-                    continue
+        # every allowed term keeps the sequence free; with r == 1 any one
+        # proves S without building its child
+        allowed = self._above[floor] & ~bad
+        found = r == 1 and allowed != 0
+        if r > 1:
+            chunks = self._chunks(S)
+            tables, word, size = self._tables, self._word, self.size
+            room = self._usable_count - (r - 1)
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                a = low.bit_length() - 1
+                # _child, inlined: a call per child costs about 4% on eb-frontier
+                tbl = tables[a] or self._build_table(a)
+                T = W | word[a]
+                for cb in chunks:
+                    T |= tbl[cb]
+                if (T >> size).bit_count() <= room and self._reach(T, a, r - 1):
+                    found = True
+                    break
+        if found:
             self._memo[S] = floor << _FLOOR_SHIFT | lo << _LO_SHIFT | r
-            return True
-        self._memo[S] = floor << _FLOOR_SHIFT | r << _LO_SHIFT | hi
-        return False
+        else:
+            self._memo[S] = floor << _FLOOR_SHIFT | r << _LO_SHIFT | hi
+        return found
 
     def exists_free(self, r: int) -> bool:
         """Is there a free sequence of length r?"""
@@ -281,26 +326,24 @@ class FreeSearch:
             return True
         if r > self.cap:
             return False
-        return any(
-            self._reach(self._selfbit[idx], idx, r - 1)
-            for idx in range(len(self.candidates))
-        )
+        return any(self._reach(self._word[a], a, r - 1) for a in self.candidates)
 
     def witness(self, length: int) -> tuple[int, ...]:
         """Lexicographically smallest free sequence of the given length
         (which must be achievable — call after exists_free(length)
         returned True, so the walk reads its path from the memo)."""
         terms: list[int] = []
-        S, floor, remaining = 0, 0, length
+        W, floor, remaining = 0, 0, length
         while remaining > 0:
-            chunks = self._chunks(S)
-            for idx in range(floor, len(self.candidates)):
-                if S & self._bad[idx]:
+            chunks = self._chunks(W & self._low)
+            bad = W >> self.size
+            for a in self.candidates:
+                if a < floor or bad >> a & 1:
                     continue
-                T = self._image(S, chunks, idx)
-                if self._reach(T, idx, remaining - 1):
-                    terms.append(self.candidates[idx])
-                    S, floor, remaining = T, idx, remaining - 1
+                T = self._child(W, chunks, a)
+                if self._reach(T, a, remaining - 1):
+                    terms.append(a)
+                    W, floor, remaining = T, a, remaining - 1
                     break
             else:
                 raise InconsistencyError(

@@ -48,6 +48,15 @@ def brute_is_product_one_free(terms, n: int) -> bool:
     return 1 not in brute_product_set(terms, n)
 
 
+def brute_extends(terms, pool, r: int, n: int, is_free) -> bool:
+    """Does the free sequence terms extend by r more terms from pool
+    to a sequence is_free accepts?  Tries every r-multiset of pool."""
+    return any(
+        is_free(tuple(terms) + extra, n)
+        for extra in combinations_with_replacement(pool, r)
+    )
+
+
 def brute_davenport(n: int) -> int:
     """Smallest l such that every length-l unit sequence has a
     product-one subsequence.  Grows one length at a time."""

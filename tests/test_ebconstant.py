@@ -147,7 +147,7 @@ def test_verify_theorem_builds_the_construction_once(monkeypatch):
         return real(n, budget)
 
     monkeypatch.setattr(ebc_mod, "construct_extremal", counted)
-    budget = SearchBudget(max_states=20000)
+    budget = SearchBudget(max_states=5000)
     # 570's witness walk decides; 102's runs out, so eb_exact's witness is
     # the construction, which verify_theorem reuses
     for n, value, constructed in ((570, 38, False), (102, 17, True)):

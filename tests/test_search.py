@@ -25,7 +25,10 @@ from ebmod.search import FreeSearch, SearchBudget, longest_free
 from oracles import (
     brute_davenport,
     brute_eb,
+    brute_extends,
     brute_idempotents,
+    brute_is_free,
+    brute_is_product_one_free,
     brute_max_free_multisets,
     brute_max_product_one_free_multisets,
     brute_product_set,
@@ -73,6 +76,47 @@ def quotient_engine(n: int) -> FreeSearch:
     """The I(n) engine over M(n), as eb_exact builds it."""
     f = factorize(n)
     return FreeSearch(_quotient_monoid(f), _quotient_size(f)[1], SearchBudget())
+
+
+def four_engines(n: int) -> list[tuple]:
+    """(engine, monoid, forbidden residues, freeness oracle) of the four
+    engines on n: M(n) and the units with 0 adjoined, as eb_exact and
+    davenport_exact build them, and the residue oracle's I(n) and
+    Davenport engines."""
+    f = factorize(n)
+    idem = set(brute_idempotents(n))
+    units = _unit_monoid(n)
+    _, eb_candidates, eb_forbidden, eb_cap = eb_args(n)
+    _, dav_candidates, dav_forbidden, dav_cap = dav_args(n)
+    setups = (
+        (_quotient_monoid(f), _quotient_size(f)[1], idem, brute_is_free),
+        (units, len(units.labels) - 2, {1}, brute_is_product_one_free),
+        (residue_monoid(n, eb_forbidden, eb_candidates), eb_cap, idem, brute_is_free),
+        (
+            residue_monoid(n, dav_forbidden, dav_candidates),
+            dav_cap,
+            {1},
+            brute_is_product_one_free,
+        ),
+    )
+    return [
+        (FreeSearch(monoid, cap, SearchBudget()), monoid, forbidden, is_free)
+        for monoid, cap, forbidden, is_free in setups
+    ]
+
+
+def brute_word(engine: FreeSearch, monoid, forbidden: set[int], seq) -> int:
+    """The state word of the residue sequence seq, from its brute product
+    set: the classes of its products, and above them bad, the usable x
+    with t*x forbidden for some product t."""
+    n, labels = monoid.n, monoid.labels
+    products = brute_product_set(seq, n) if seq else set()
+    bad = [
+        x
+        for x in engine.candidates
+        if any(t * labels[x] % n in forbidden for t in products)
+    ]
+    return _mask(monoid.index[t] for t in products) | _mask(bad) << engine.size
 
 
 def longest(args: tuple, floor: int = 1, ceiling: int | None = None, budget=SearchBudget()):
@@ -224,37 +268,55 @@ def _random_free_sequences(n, candidates, forbidden, rng, count, max_len):
 def test_prefilter_and_image_match_brute_product_sets(n, kind):
     # kind M: the I(n) engine over the quotient monoid, whose elements are
     # classes of residues; a product set there is the set of classes of
-    # the brute product set's residues
+    # the brute product set's residues.  A term extends a state freely
+    # exactly when it lies outside the state's bad set
     engine = {"eb": eb_engine, "dav": dav_engine, "M": quotient_engine}[kind](n)
     forbidden = set(brute_idempotents(n)) if kind != "dav" else {1}
-    M = _quotient_monoid(factorize(n))
-    labels, cls = (M.labels, M.index) if kind == "M" else (range(n), range(n))
+    # labels and classes: M(n)'s, else the identity labelling of Z/nZ
+    M = _quotient_monoid(factorize(n)) if kind == "M" else residue_monoid(n, 0, ())
     rng = random.Random(n)
     sequences = _random_free_sequences(
-        n, [labels[a] for a in engine.candidates], forbidden, rng, count=25, max_len=7
+        n, [M.labels[a] for a in engine.candidates], forbidden, rng, count=25, max_len=7
     )
     for seq in sequences:
-        S = _mask(cls[r] for r in brute_product_set(seq, n)) if seq else 0
+        W = brute_word(engine, M, forbidden, seq)
+        S = W & engine._low
         chunks = engine._chunks(S)
-        for idx, a in enumerate(engine.candidates):
-            extended = brute_product_set(seq + (labels[a],), n)
-            assert bool(S & engine._bad[idx]) == bool(extended & forbidden)
-            image = engine._image(S, chunks, idx)
-            assert image == reference_image(engine, a, S)
-            assert image == _mask(cls[r] for r in extended)
+        for a in engine.candidates:
+            extended = seq + (M.labels[a],)
+            assert bool(W >> engine.size >> a & 1) == bool(
+                brute_product_set(extended, n) & forbidden
+            )
+            child = engine._child(W, chunks, a)
+            assert child & engine._low == reference_image(engine, a, S)
+            assert child == brute_word(engine, M, forbidden, extended)
 
 
 @pytest.mark.parametrize("n", (7, 12, 18, 33, 64, 72))
 def test_image_matches_reference_on_arbitrary_masks(n):
     # over the residues and over M(n): a proper quotient at 18 (the Z/2
-    # component drops), 64 and 72
+    # component drops), 64 and 72.  S and the bad set B are arbitrary, so
+    # the child's bad set is B with pre(t) of every new product t added,
+    # pre(t) being the usable x with t*x forbidden
     for engine in (eb_engine(n), quotient_engine(n)):
+        size, product = engine.size, engine.product
+        pre = [
+            _mask(x for x in engine.candidates if engine.forbidden >> product(t, x) & 1)
+            for t in range(size)
+        ]
+        usable = _mask(engine.candidates)
         rng = random.Random(1000 + n)
         for _ in range(50):
-            S = rng.getrandbits(engine.size)
+            S = rng.getrandbits(size)
+            B = rng.getrandbits(size) & usable
             chunks = engine._chunks(S)
-            for idx, a in enumerate(engine.candidates):
-                assert engine._image(S, chunks, idx) == reference_image(engine, a, S)
+            for a in engine.candidates:
+                bad = B | pre[a]
+                for s in range(size):
+                    if S >> s & 1:
+                        bad |= pre[product(s, a)]
+                expected = reference_image(engine, a, S) | bad << size
+                assert engine._child(S | B << size, chunks, a) == expected
 
 
 @pytest.mark.parametrize("kind, n", [("M", 12), ("M", 36), ("dav", 63)])
@@ -275,9 +337,9 @@ def test_memo_answers_do_not_depend_on_query_order(kind, n):
     seen: set[int] = set()
     real_reach = engine._reach
 
-    def recording(S, floor, r):
-        seen.add(S)
-        return real_reach(S, floor, r)
+    def recording(W, floor, r):
+        seen.add(W & engine._low)
+        return real_reach(W, floor, r)
 
     engine._reach = recording  # the recursion reads it from the instance
     rng = random.Random(7 * n)
@@ -285,33 +347,85 @@ def test_memo_answers_do_not_depend_on_query_order(kind, n):
         n, [monoid.labels[a] for a in engine.candidates], forbidden, rng, count=30, max_len=5
     )
     # the empty product set is left out: at floor 0 its refutations are
-    # whole searches, about 180k states each in the units mod 63
-    masks = [
-        _mask(monoid.index[r] for r in brute_product_set(seq, n)) for seq in sequences[1:]
-    ]
+    # whole searches, about 180k states each in the units mod 63.  Each
+    # query is a reachable state: the word of a free sequence
+    words = [brute_word(engine, monoid, forbidden, seq) for seq in sequences[1:]]
     last_floor: dict[int, int] = {}
     repeats = {"lower": 0, "higher": 0}
     verdicts = set()
     for _ in range(120):
         if last_floor and rng.random() < 0.5:
-            S = rng.choice(sorted(last_floor))
+            W = rng.choice(sorted(last_floor))
         else:
-            S = rng.choice(masks)
-        floor = rng.randrange(len(engine.candidates) + 1)
-        r = rng.randint(0, cap - S.bit_count() + 1)
-        if S in last_floor and floor != last_floor[S]:
-            repeats["lower" if floor < last_floor[S] else "higher"] += 1
-        last_floor[S] = floor
-        got = engine._reach(S, floor, r)
-        assert got == FreeSearch(monoid, cap, SearchBudget())._reach(S, floor, r), (S, floor, r)
+            W = rng.choice(words)
+        floor = rng.randrange(engine.size + 1)
+        r = rng.randint(0, cap - (W & engine._low).bit_count() + 1)
+        if W in last_floor and floor != last_floor[W]:
+            repeats["lower" if floor < last_floor[W] else "higher"] += 1
+        last_floor[W] = floor
+        got = engine._reach(W, floor, r)
+        assert got == FreeSearch(monoid, cap, SearchBudget())._reach(W, floor, r), (W, floor, r)
         assert engine.states_used <= len(seen)
         verdicts.add(got)
     assert min(repeats.values()) > 0 and verdicts == {True, False}, (repeats, verdicts)
 
 
+@pytest.mark.parametrize("n", range(3, 41))
+def test_products_of_candidates_are_candidates_or_forbidden(n):
+    # the allowed-set bound needs it: the remaining terms' product set
+    # then lies in the usable set
+    for engine, monoid, _, _ in four_engines(n):
+        closed = _mask(engine.candidates) | engine.forbidden
+        for a in engine.candidates:
+            for b in engine.candidates:
+                assert closed >> monoid.product(a, b) & 1, (a, b)
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_carried_bad_sets_match_their_definition(n):
+    # the word carried along a seeded free sequence, one _child per term,
+    # against bad(T) = {x usable : t*x forbidden for some t in T} taken
+    # from the brute product set T.  In M(n) the bad set is at least as
+    # large as T, so the allowed-set bound prunes wherever |T| + r > cap;
+    # in the units bad(T) = T^-1, and the two tests coincide
+    rng = random.Random(3 * n)
+    for kind, (engine, monoid, forbidden, _) in zip("MUed", four_engines(n)):
+        cls = monoid.index
+        for seq in _random_free_sequences(
+            n, [monoid.labels[a] for a in engine.candidates], forbidden, rng, 8, 6
+        ):
+            W = 0
+            for i, r in enumerate(seq):
+                W = engine._child(W, engine._chunks(W & engine._low), cls[r])
+                assert W == brute_word(engine, monoid, forbidden, seq[: i + 1])
+                T, bad = (W & engine._low).bit_count(), (W >> engine.size).bit_count()
+                if kind == "M":
+                    assert bad >= T
+                elif kind == "U":
+                    assert bad == T
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_reach_matches_brute_extensions(n):
+    # _reach from the word of a seeded free prefix at a seeded floor,
+    # against every nondecreasing extension the freeness oracle accepts
+    rng = random.Random(5 * n)
+    for engine, monoid, forbidden, is_free in four_engines(n):
+        labels = monoid.labels
+        for seq in _random_free_sequences(
+            n, [labels[a] for a in engine.candidates], forbidden, rng, 3, 3
+        ):
+            floor = rng.randrange(engine.size + 1)
+            r = rng.randint(1, 2)
+            pool = [labels[a] for a in monoid.candidates if a >= floor]
+            W = brute_word(engine, monoid, forbidden, seq)
+            got = engine._reach(W, floor, r)
+            assert got == brute_extends(seq, pool, r, n, is_free), (seq, floor, r)
+
+
 def test_image_tables_are_built_on_first_use():
     engine = eb_engine(36)
-    assert engine._tables == [None] * len(engine.candidates)
+    assert engine._tables == [None] * engine.size
     assert engine.exists_free(3)
     built = sum(t is not None for t in engine._tables)
     assert 0 < built < len(engine.candidates)
