@@ -21,8 +21,7 @@ Key facts the engine leans on:
 
 * Canonical order.  Sequences are multisets, so the search enumerates
   only nondecreasing term orders: a query is a state (below) and a
-  floor, the lowest element still allowed as the next term.  The memo
-  keeps one entry per product set S, whatever floors S is queried at.
+  floor, the lowest element still allowed as the next term.
 
 * Strict growth.  Adding a term to a free sequence strictly grows the
   product set (if it didn't, some power of the added term would already
@@ -56,15 +55,16 @@ Key facts the engine leans on:
   forbidden, so P lies in the usable set; and b_1..b_r is free on its
   own, so |P| >= r by strict growth.  Hence r <= |usable| - |bad(T)|,
   and a child T with |bad(T)| + (r - 1) > |usable| is dropped where it
-  is made, before it becomes a state.  The bound is at least as strong
-  as the slack test |T| + r > cap it replaces wherever cap = |usable|,
-  as for both callers, since there |bad(T)| >= |T|.  In a unit group
-  bad(T) = T^-1, so the two tests coincide.  In M(n) the map acting
-  componentwise by u -> u^-1 on a unit, p^j -> p^(k - j) for 1 <= j <
-  k and p^k -> p^k is an involution, hence injective, and it sends
-  each t to an element t' with t*t' idempotent in every component; t'
-  is idempotent only when t is, and T has no idempotent, so t' is
-  usable (every element of M(n) is a candidate) and lies in bad(T).
+  is made, before it becomes a state.  For both callers |bad(T)| >=
+  |T|, so it is at least as strong as strict growth.  In a unit group
+  bad(T) = T^-1.  In M(n) the map acting componentwise by u -> u^-1
+  on a unit, p^j -> p^(k - j) for 1 <= j < k and p^k -> p^k is an
+  involution, hence injective, and it sends each t to an element t'
+  with t*t' idempotent in every component; t' is idempotent only when
+  t is, and T has no idempotent, so t' is usable (every element of
+  M(n) is a candidate) and lies in bad(T).  So every child of the
+  empty sequence has a nonempty bad set, and the bound refutes any r >
+  |usable| there without a state: the engine needs no cap.
 
 * Monotone reach.  If S extends by r further terms, it extends by
   fewer; if it cannot extend by r, it cannot extend by more.  Reach is
@@ -75,9 +75,10 @@ Key facts the engine leans on:
   bounds there, the best r proven reachable and the worst r proven
   unreachable.  A query at a floor g <= f answers True up to the first
   bound, one at g >= f answers False from the second; any other query
-  runs the candidate walk at g, starting from the bound that still
-  holds, and overwrites the entry with g's bounds.  The memo is shared
-  across all probes and the witness reconstruction.
+  walks S's children at g, starting from the bound that still holds,
+  and overwrites the entry with g's bounds.  FreeSearch._next, the one
+  walk, reads the entry of each child where it builds it, and the
+  probes and the witness reconstruction share the memo.
 
 Probing order exploits the cost asymmetry: refuting length r costs
 roughly exponential in the slack cap - r, so longest_free gallops
@@ -171,7 +172,7 @@ def _check_size(size: int, cap: int) -> None:
         raise BudgetExceeded(
             f"image tables of a {size}-element monoid could need {table_cells} cells"
         )
-    # Recursion depth tracks extension length, bounded by cap; the
+    # Recursion depth is one _next frame per term, so at most cap; the
     # interpreter's limit is read, never raised.  Both callers pass cap <
     # size, and the table guard above forces cap * ceil(size/8) <= 32768,
     # so cap < 512 and the default limit of 1000 never trips this.
@@ -183,19 +184,16 @@ class FreeSearch:
     """Maximum free-sequence length over the candidates of `monoid`
     avoiding its forbidden mask, with lexicographically-smallest
     witness, in the monoid on 0..size - 1 whose product rule is
-    monoid.product.  cap bounds every free length, and it counts at
-    least the usable candidates (each is a one-term free sequence whose
-    product set avoids the forbidden elements).  The size guards are not
+    monoid.product; _next is its one walk.  The size guards are not
     run here: longest_free runs them before it builds the monoid.  The
     words of all elements are built up front; a candidate's image table
     is built on the first child it makes, so a walk that tries few
     candidates builds few tables."""
 
-    def __init__(self, monoid: Monoid, cap: int, budget: SearchBudget):
+    def __init__(self, monoid: Monoid, budget: SearchBudget):
         self.size = size = len(monoid.labels)
         self.product = product = monoid.product
         self.forbidden = forbidden = monoid.forbidden
-        self.cap = cap
         self.budget = budget
         self._nbytes = (size + 7) // 8
         self._low = (1 << size) - 1
@@ -245,16 +243,6 @@ class FreeSearch:
             if b
         ]
 
-    def _child(self, W: int, chunks: list[int], a: int) -> int:
-        """State word after appending the usable element a to a free
-        sequence whose state word is W, given chunks = self._chunks(S)
-        for its product set S."""
-        tbl = self._tables[a] or self._build_table(a)
-        T = W | self._word[a]
-        for cb in chunks:
-            T |= tbl[cb]
-        return T
-
     def _tick(self) -> None:
         self._states += 1
         if self._states > self.budget.max_states:
@@ -267,88 +255,74 @@ class FreeSearch:
                     f"search exceeded {self.budget.max_seconds} seconds"
                 )
 
-    def _reach(self, W: int, floor: int, r: int) -> bool:
-        """Can the free sequence whose state word is W be extended by r
-        further terms drawn (nondecreasingly) from the usable elements
-        >= floor?"""
-        if r == 0:
-            return True
-        bad = W >> self.size
-        if bad.bit_count() + r > self._usable_count:
-            # the allowed-set bound, for the first terms exists_free and
-            # witness try; the walk below drops a child before the call
-            return False
-        S = W & self._low
-        ent = self._memo.get(S)
-        if ent is None:
-            self._tick()
-            hi, lo = 0, _LO_INIT  # hi_true 0, lo_false "infinity"
-        else:
-            # the entry's bounds hold at its floor f; a lower floor allows
-            # more candidates, so hi_true still holds there, and a higher
-            # one fewer, so lo_false does
-            f = ent >> _FLOOR_SHIFT
-            hi = ent & _LO_INIT if floor <= f else 0
-            lo = ent >> _LO_SHIFT & _LO_INIT if floor >= f else _LO_INIT
-            if r <= hi:
-                return True
-            if r >= lo:
-                return False
-        # every allowed term keeps the sequence free; with r == 1 any one
-        # proves S without building its child
-        allowed = self._above[floor] & ~bad
-        found = r == 1 and allowed != 0
-        if r > 1:
-            chunks = self._chunks(S)
-            tables, word, size = self._tables, self._word, self.size
-            room = self._usable_count - (r - 1)
-            while allowed:
-                low = allowed & -allowed
-                allowed ^= low
-                a = low.bit_length() - 1
-                # _child, inlined: a call per child costs about 4% on eb-frontier
-                tbl = tables[a] or self._build_table(a)
-                T = W | word[a]
-                for cb in chunks:
-                    T |= tbl[cb]
-                if (T >> size).bit_count() <= room and self._reach(T, a, r - 1):
-                    found = True
-                    break
-        if found:
-            self._memo[S] = floor << _FLOOR_SHIFT | lo << _LO_SHIFT | r
-        else:
-            self._memo[S] = floor << _FLOOR_SHIFT | r << _LO_SHIFT | hi
-        return found
+    def _next(self, W: int, floor: int, r: int) -> tuple[int, int] | None:
+        """(a, T) for the smallest term a >= floor allowed after the state
+        word W whose child, of state word T, extends by r - 1 >= 0 further
+        terms drawn (nondecreasingly) from the usable elements >= a; None
+        if there is no such a."""
+        size, word, tables, memo = self.size, self._word, self._tables, self._memo
+        chunks = self._chunks(W & self._low)
+        rest = r - 1
+        room = self._usable_count - rest
+        allowed = self._above[floor] & ~(W >> size)
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            a = low.bit_length() - 1
+            tbl = tables[a] or self._build_table(a)
+            T = W | word[a]
+            for cb in chunks:
+                T |= tbl[cb]
+            if rest == 0:
+                return a, T
+            bad = T >> size
+            if bad.bit_count() > room:
+                continue
+            S = T & self._low
+            ent = memo.get(S)
+            if ent is None:
+                self._tick()
+                hi, lo = 0, _LO_INIT  # hi_true 0, lo_false "infinity"
+            else:
+                # the entry's bounds hold at its floor f; a lower floor allows
+                # more candidates, so hi_true still holds there, and a higher
+                # one fewer, so lo_false does
+                f = ent >> _FLOOR_SHIFT
+                hi = ent & _LO_INIT if a <= f else 0
+                lo = ent >> _LO_SHIFT & _LO_INIT if a >= f else _LO_INIT
+                if rest <= hi:
+                    return a, T
+                if rest >= lo:
+                    continue
+            # with one term left any allowed term proves T, unbuilt
+            if rest == 1:
+                found = self._above[a] & ~bad != 0
+            else:
+                found = self._next(T, a, rest) is not None
+            if found:
+                memo[S] = a << _FLOOR_SHIFT | lo << _LO_SHIFT | rest
+                return a, T
+            memo[S] = a << _FLOOR_SHIFT | rest << _LO_SHIFT | hi
+        return None
 
     def exists_free(self, r: int) -> bool:
         """Is there a free sequence of length r?"""
-        if r <= 0:
-            return True
-        if r > self.cap:
-            return False
-        return any(self._reach(self._word[a], a, r - 1) for a in self.candidates)
+        return r <= 0 or self._next(0, 0, r) is not None
 
     def witness(self, length: int) -> tuple[int, ...]:
         """Lexicographically smallest free sequence of the given length
         (which must be achievable — call after exists_free(length)
         returned True, so the walk reads its path from the memo)."""
         terms: list[int] = []
-        W, floor, remaining = 0, 0, length
-        while remaining > 0:
-            chunks = self._chunks(W & self._low)
-            bad = W >> self.size
-            for a in self.candidates:
-                if a < floor or bad >> a & 1:
-                    continue
-                T = self._child(W, chunks, a)
-                if self._reach(T, a, remaining - 1):
-                    terms.append(a)
-                    W, floor, remaining = T, a, remaining - 1
-                    break
-            else:
+        W = floor = 0
+        for remaining in range(length, 0, -1):
+            step = self._next(W, floor, remaining)
+            if step is None:
                 raise InconsistencyError(
                     f"witness reconstruction stuck at length {len(terms)}"
                 )  # unreachable if length is achievable
+            floor, W = step
+            terms.append(floor)
         return tuple(terms)
 
     @property
@@ -392,7 +366,7 @@ def longest_free(
     try:
         _check_size(size, cap)
         M = monoid()
-        engine = FreeSearch(M, cap, budget)
+        engine = FreeSearch(M, budget)
         if length > 0 and not engine.exists_free(length):
             raise InconsistencyError(
                 f"claimed lower bound {length} refuted for n={M.n}"

@@ -272,9 +272,9 @@ def _engine_masks(monkeypatch) -> list[int]:
     masks = []
     real_init = FreeSearch.__init__
 
-    def counting_init(self, monoid, cap, budget):
+    def counting_init(self, monoid, budget):
         masks.append(monoid.forbidden)
-        real_init(self, monoid, cap, budget)
+        real_init(self, monoid, budget)
 
     monkeypatch.setattr(FreeSearch, "__init__", counting_init)
     return masks

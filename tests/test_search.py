@@ -16,7 +16,7 @@ from math import gcd
 import pytest
 
 from ebmod.arith import factorize
-from ebmod.davenport import _unit_monoid
+from ebmod.davenport import _unit_monoid, davenport_exact
 from ebmod.ebconstant import _quotient_monoid, _quotient_size
 from ebmod.errors import BudgetExceeded, DomainError
 from ebmod import search
@@ -60,8 +60,8 @@ def dav_args(n: int) -> tuple:
 
 
 def residue_engine(args: tuple) -> FreeSearch:
-    n, candidates, forbidden, cap = args
-    return FreeSearch(residue_monoid(n, forbidden, candidates), cap, SearchBudget())
+    n, candidates, forbidden, _ = args
+    return FreeSearch(residue_monoid(n, forbidden, candidates), SearchBudget())
 
 
 def eb_engine(n: int) -> FreeSearch:
@@ -75,7 +75,7 @@ def dav_engine(n: int) -> FreeSearch:
 def quotient_engine(n: int) -> FreeSearch:
     """The I(n) engine over M(n), as eb_exact builds it."""
     f = factorize(n)
-    return FreeSearch(_quotient_monoid(f), _quotient_size(f)[1], SearchBudget())
+    return FreeSearch(_quotient_monoid(f), SearchBudget())
 
 
 def four_engines(n: int) -> list[tuple]:
@@ -86,22 +86,17 @@ def four_engines(n: int) -> list[tuple]:
     f = factorize(n)
     idem = set(brute_idempotents(n))
     units = _unit_monoid(n)
-    _, eb_candidates, eb_forbidden, eb_cap = eb_args(n)
-    _, dav_candidates, dav_forbidden, dav_cap = dav_args(n)
+    _, eb_candidates, eb_forbidden, _ = eb_args(n)
+    _, dav_candidates, dav_forbidden, _ = dav_args(n)
     setups = (
-        (_quotient_monoid(f), _quotient_size(f)[1], idem, brute_is_free),
-        (units, len(units.labels) - 2, {1}, brute_is_product_one_free),
-        (residue_monoid(n, eb_forbidden, eb_candidates), eb_cap, idem, brute_is_free),
-        (
-            residue_monoid(n, dav_forbidden, dav_candidates),
-            dav_cap,
-            {1},
-            brute_is_product_one_free,
-        ),
+        (_quotient_monoid(f), idem, brute_is_free),
+        (units, {1}, brute_is_product_one_free),
+        (residue_monoid(n, eb_forbidden, eb_candidates), idem, brute_is_free),
+        (residue_monoid(n, dav_forbidden, dav_candidates), {1}, brute_is_product_one_free),
     )
     return [
-        (FreeSearch(monoid, cap, SearchBudget()), monoid, forbidden, is_free)
-        for monoid, cap, forbidden, is_free in setups
+        (FreeSearch(monoid, SearchBudget()), monoid, forbidden, is_free)
+        for monoid, forbidden, is_free in setups
     ]
 
 
@@ -117,6 +112,17 @@ def brute_word(engine: FreeSearch, monoid, forbidden: set[int], seq) -> int:
         if any(t * labels[x] % n in forbidden for t in products)
     ]
     return _mask(monoid.index[t] for t in products) | _mask(bad) << engine.size
+
+
+def child_word(engine: FreeSearch, W: int, a: int) -> int:
+    """The state word after appending the usable a to the state word W,
+    built as the engine's walk builds it: W, a's word, and a's image
+    table read at the nonzero bytes of W's product set."""
+    T = W | engine._word[a]
+    table = engine._tables[a] or engine._build_table(a)
+    for cb in engine._chunks(W & engine._low):
+        T |= table[cb]
+    return T
 
 
 def longest(args: tuple, floor: int = 1, ceiling: int | None = None, budget=SearchBudget()):
@@ -245,6 +251,18 @@ def test_search_leaves_the_recursion_limit_alone():
     assert sys.getrecursionlimit() == limit
 
 
+def test_the_deepest_walk_the_size_guards_admit_stays_in_the_recursion_limit():
+    # D((Z/509Z)^x) = 508 by theorem, so the search is one walk of the
+    # 507-term witness over 509 elements with cap 507, near the most the
+    # table guard admits (cap 512 at 512 elements); it must take one
+    # frame per term to fit the limit the guards leave it
+    limit = sys.getrecursionlimit()
+    r = davenport_exact(509)
+    assert (r.value, len(r.witness)) == (508, 507)
+    assert r.method.startswith("theorem") and not r.method.endswith("construction")
+    assert sys.getrecursionlimit() == limit
+
+
 def _random_free_sequences(n, candidates, forbidden, rng, count, max_len):
     """Random free sequences, grown one term at a time while the brute
     product set stays clear of the forbidden residues."""
@@ -281,15 +299,15 @@ def test_prefilter_and_image_match_brute_product_sets(n, kind):
     for seq in sequences:
         W = brute_word(engine, M, forbidden, seq)
         S = W & engine._low
-        chunks = engine._chunks(S)
         for a in engine.candidates:
             extended = seq + (M.labels[a],)
-            assert bool(W >> engine.size >> a & 1) == bool(
-                brute_product_set(extended, n) & forbidden
-            )
-            child = engine._child(W, chunks, a)
+            blocked = bool(W >> engine.size >> a & 1)
+            assert blocked == bool(brute_product_set(extended, n) & forbidden)
+            child = child_word(engine, W, a)
             assert child & engine._low == reference_image(engine, a, S)
             assert child == brute_word(engine, M, forbidden, extended)
+            if not blocked:
+                assert engine._next(W, a, 1) == (a, child)
 
 
 @pytest.mark.parametrize("n", (7, 12, 18, 33, 64, 72))
@@ -309,23 +327,24 @@ def test_image_matches_reference_on_arbitrary_masks(n):
         for _ in range(50):
             S = rng.getrandbits(size)
             B = rng.getrandbits(size) & usable
-            chunks = engine._chunks(S)
             for a in engine.candidates:
                 bad = B | pre[a]
                 for s in range(size):
                     if S >> s & 1:
                         bad |= pre[product(s, a)]
                 expected = reference_image(engine, a, S) | bad << size
-                assert engine._child(S | B << size, chunks, a) == expected
+                assert child_word(engine, S | B << size, a) == expected
+                if not B >> a & 1:
+                    assert engine._next(S | B << size, a, 1) == (a, expected)
 
 
 @pytest.mark.parametrize("kind, n", [("M", 12), ("M", 36), ("dav", 63)])
 def test_memo_answers_do_not_depend_on_query_order(kind, n):
-    # One long-lived engine answers a seeded stream of _reach queries whose
-    # product sets recur at lower and higher floors; each answer must be
-    # the one a fresh engine gives that query alone.  The memo keeps one
-    # entry per product set, so the engine never holds more states than
-    # the distinct product sets its _reach saw, the recursion's included.
+    # One long-lived engine answers a seeded stream of _next queries whose
+    # product sets recur at lower and higher floors; each answer, the
+    # term and its child's word, must be the one a fresh engine gives
+    # that query alone.  The memo keeps one entry per product set, and
+    # every state the engine counts is one entry
     if kind == "M":
         f = factorize(n)
         monoid, cap = _quotient_monoid(f), _quotient_size(f)[1]
@@ -333,15 +352,7 @@ def test_memo_answers_do_not_depend_on_query_order(kind, n):
     else:
         monoid, forbidden = _unit_monoid(n), {1}
         cap = len(monoid.labels) - 2
-    engine = FreeSearch(monoid, cap, SearchBudget())
-    seen: set[int] = set()
-    real_reach = engine._reach
-
-    def recording(W, floor, r):
-        seen.add(W & engine._low)
-        return real_reach(W, floor, r)
-
-    engine._reach = recording  # the recursion reads it from the instance
+    engine = FreeSearch(monoid, SearchBudget())
     rng = random.Random(7 * n)
     sequences = _random_free_sequences(
         n, [monoid.labels[a] for a in engine.candidates], forbidden, rng, count=30, max_len=5
@@ -359,31 +370,34 @@ def test_memo_answers_do_not_depend_on_query_order(kind, n):
         else:
             W = rng.choice(words)
         floor = rng.randrange(engine.size + 1)
-        r = rng.randint(0, cap - (W & engine._low).bit_count() + 1)
+        r = rng.randint(1, cap - (W & engine._low).bit_count() + 1)
         if W in last_floor and floor != last_floor[W]:
             repeats["lower" if floor < last_floor[W] else "higher"] += 1
         last_floor[W] = floor
-        got = engine._reach(W, floor, r)
-        assert got == FreeSearch(monoid, cap, SearchBudget())._reach(W, floor, r), (W, floor, r)
-        assert engine.states_used <= len(seen)
-        verdicts.add(got)
+        got = engine._next(W, floor, r)
+        assert got == FreeSearch(monoid, SearchBudget())._next(W, floor, r), (W, floor, r)
+        assert engine.states_used == len(engine._memo)
+        verdicts.add(got is not None)
     assert min(repeats.values()) > 0 and verdicts == {True, False}, (repeats, verdicts)
 
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_products_of_candidates_are_candidates_or_forbidden(n):
     # the allowed-set bound needs it: the remaining terms' product set
-    # then lies in the usable set
+    # then lies in the usable set.  With it the bound refutes every
+    # length past the usable count at the root, before any state
     for engine, monoid, _, _ in four_engines(n):
         closed = _mask(engine.candidates) | engine.forbidden
         for a in engine.candidates:
             for b in engine.candidates:
                 assert closed >> monoid.product(a, b) & 1, (a, b)
+        assert not engine.exists_free(len(engine.candidates) + 1)
+        assert engine.states_used == 0
 
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_carried_bad_sets_match_their_definition(n):
-    # the word carried along a seeded free sequence, one _child per term,
+    # the word carried along a seeded free sequence, one _next per term,
     # against bad(T) = {x usable : t*x forbidden for some t in T} taken
     # from the brute product set T.  In M(n) the bad set is at least as
     # large as T, so the allowed-set bound prunes wherever |T| + r > cap;
@@ -396,7 +410,8 @@ def test_carried_bad_sets_match_their_definition(n):
         ):
             W = 0
             for i, r in enumerate(seq):
-                W = engine._child(W, engine._chunks(W & engine._low), cls[r])
+                a, W = engine._next(W, cls[r], 1)
+                assert a == cls[r]
                 assert W == brute_word(engine, monoid, forbidden, seq[: i + 1])
                 T, bad = (W & engine._low).bit_count(), (W >> engine.size).bit_count()
                 if kind == "M":
@@ -407,8 +422,9 @@ def test_carried_bad_sets_match_their_definition(n):
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_reach_matches_brute_extensions(n):
-    # _reach from the word of a seeded free prefix at a seeded floor,
-    # against every nondecreasing extension the freeness oracle accepts
+    # _next from the word of a seeded free prefix at a seeded floor,
+    # against every nondecreasing extension the freeness oracle accepts;
+    # the child it returns is the prefix with its term appended
     rng = random.Random(5 * n)
     for engine, monoid, forbidden, is_free in four_engines(n):
         labels = monoid.labels
@@ -419,8 +435,12 @@ def test_reach_matches_brute_extensions(n):
             r = rng.randint(1, 2)
             pool = [labels[a] for a in monoid.candidates if a >= floor]
             W = brute_word(engine, monoid, forbidden, seq)
-            got = engine._reach(W, floor, r)
-            assert got == brute_extends(seq, pool, r, n, is_free), (seq, floor, r)
+            got = engine._next(W, floor, r)
+            assert (got is not None) == brute_extends(seq, pool, r, n, is_free), (seq, floor, r)
+            if got is not None:
+                a, T = got
+                assert a >= floor
+                assert T == brute_word(engine, monoid, forbidden, seq + (labels[a],))
 
 
 def test_image_tables_are_built_on_first_use():
