@@ -91,8 +91,8 @@ def _unit_monoid(n: int) -> Monoid:
 @cache
 def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportResult:
     """Exact D((Z/nZ)^x): the theorem's value where _theorem cites one,
-    else by exhaustive search over canonical unit sequences with
-    product-set memoization.
+    else by exhaustive search over canonical unit sequences, memoized on
+    bad(S) = S^-1, the inverses of the product set.
 
     In a theorem's class the search gets the bracket [formula, formula],
     so its one probe walks the lexicographically smallest witness and

@@ -66,19 +66,36 @@ Key facts the engine leans on:
   empty sequence has a nonempty bad set, and the bound refutes any r >
   |usable| there without a state: the engine needs no cap.
 
-* Monotone reach.  If S extends by r further terms, it extends by
-  fewer; if it cannot extend by r, it cannot extend by more.  Reach is
-  monotone in the floor too: the elements >= g include those >= f when
-  g <= f, so an extension by r from floor f is one from every lower
-  floor, and none from f means none from any higher floor.  The entry
-  for S packs into one int the floor f it was last computed at and two
-  bounds there, the best r proven reachable and the worst r proven
-  unreachable.  A query at a floor g <= f answers True up to the first
-  bound, one at g >= f answers False from the second; any other query
-  walks S's children at g, starting from the bound that still holds,
-  and overwrites the entry with g's bounds.  FreeSearch._next, the one
-  walk, reads the entry of each child where it builds it, and the
-  probes and the witness reconstruction share the memo.
+* Reach depends on bad(S) alone.  Let a free sequence have product
+  set S, and let B = b_1..b_r be further terms with product set P.  The
+  joined sequence has product set S | P | S*P, so it is free exactly
+  when (i) B is free, i.e. P avoids the forbidden set, and (ii) S*P
+  avoids it.  Under (i) P holds products of usable elements, none of
+  them forbidden, so P lies in the usable set by the closure above, and
+  then (ii) says exactly that P misses bad(S).  Neither condition reads
+  S itself, so two states with one bad set extend by the same terms from
+  every floor: reach(S, f) = reach(bad(S), f).  The memo is keyed on
+  bad(S), the high half of the state word.  In a unit group bad(S) =
+  S^-1 is a bijective image of S, so the key only renames the states;
+  in M(n) many product sets share one bad set, and the memo answers
+  them all from one entry.
+
+* Monotone reach.  If a state extends by r further terms, it extends
+  by fewer; if it cannot extend by r, it cannot extend by more.  Reach
+  is monotone in the floor too: the elements >= g include those >= f
+  when g <= f, so an extension by r from floor f is one from every
+  lower floor, and none from f means none from any higher floor.  The
+  entry for a bad set packs into one int the floor f it was last
+  computed at and two bounds there, the best r proven reachable and the
+  worst r proven unreachable.  A query at a floor g <= f answers True
+  up to the first bound, one at g >= f answers False from the second;
+  any other query walks the state's children at g, starting from the
+  bound that still holds, and overwrites the entry with g's bounds.
+  Whichever product set made the entry, the bounds hold for every state
+  with that bad set, so a hit changes no verdict, and with it no probe,
+  witness or order of the walk.  FreeSearch._next, the one walk, reads
+  the entry of each child where it builds it, and the probes and the
+  witness reconstruction share the memo.
 
 Probing order exploits the cost asymmetry: refuting length r costs
 roughly exponential in the slack cap - r, so longest_free gallops
@@ -117,11 +134,11 @@ _TIME_CHECK_PERIOD = 4096
 class SearchBudget:
     """Resource limits for one exact search.
 
-    max_states caps the memo table, one entry per distinct product set
-    explored; blowing it raises BudgetExceeded, which callers convert
-    into an honest undecided verdict.  max_seconds is wall-clock,
-    checked coarsely.  Both must be >= 0; 0 and inf are legal, NaN is
-    not.
+    max_states caps the memo table, one entry per distinct bad set
+    explored (see the module docstring); blowing it raises
+    BudgetExceeded, which callers convert into an honest undecided
+    verdict.  max_seconds is wall-clock, checked coarsely.  Both must
+    be >= 0; 0 and inf are legal, NaN is not.
     """
 
     max_states: int = 1 << 26
@@ -278,8 +295,7 @@ class FreeSearch:
             bad = T >> size
             if bad.bit_count() > room:
                 continue
-            S = T & self._low
-            ent = memo.get(S)
+            ent = memo.get(bad)
             if ent is None:
                 self._tick()
                 hi, lo = 0, _LO_INIT  # hi_true 0, lo_false "infinity"
@@ -300,9 +316,9 @@ class FreeSearch:
             else:
                 found = self._next(T, a, rest) is not None
             if found:
-                memo[S] = a << _FLOOR_SHIFT | lo << _LO_SHIFT | rest
+                memo[bad] = a << _FLOOR_SHIFT | lo << _LO_SHIFT | rest
                 return a, T
-            memo[S] = a << _FLOOR_SHIFT | rest << _LO_SHIFT | hi
+            memo[bad] = a << _FLOOR_SHIFT | rest << _LO_SHIFT | hi
         return None
 
     def exists_free(self, r: int) -> bool:

@@ -9,6 +9,7 @@ against the same oracles at the end.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import sys
 from math import gcd
@@ -343,8 +344,8 @@ def test_memo_answers_do_not_depend_on_query_order(kind, n):
     # One long-lived engine answers a seeded stream of _next queries whose
     # product sets recur at lower and higher floors; each answer, the
     # term and its child's word, must be the one a fresh engine gives
-    # that query alone.  The memo keeps one entry per product set, and
-    # every state the engine counts is one entry
+    # that query alone.  The memo keeps one entry per bad set, and every
+    # state the engine counts is one entry
     if kind == "M":
         f = factorize(n)
         monoid, cap = _quotient_monoid(f), _quotient_size(f)[1]
@@ -441,6 +442,56 @@ def test_reach_matches_brute_extensions(n):
                 a, T = got
                 assert a >= floor
                 assert T == brute_word(engine, monoid, forbidden, seq + (labels[a],))
+
+
+def test_reach_depends_on_the_bad_set_alone():
+    # The lemma the memo key rests on, checked without the engine: group
+    # the free sequences of length <= 3 in M(n) and in the units mod n by
+    # their bad set, and every product set in a group must have the same
+    # longest free extension from every floor.  That length is found by
+    # exhaustive search over nondecreasing extensions, memoized on the
+    # residue product set P, since the joined product set P | Q | P*Q
+    # reads nothing else of the prefix.  In the units bad(S) = S^-1, so
+    # each group there holds one product set
+    merged = 0
+    for n in range(2, 41):
+        setups = (
+            ("M", _quotient_monoid(factorize(n)), frozenset(brute_idempotents(n))),
+            ("U", _unit_monoid(n), frozenset({1})),
+        )
+        for kind, monoid, forbidden in setups:
+            labels = monoid.labels
+            pool = [labels[a] for a in monoid.candidates if labels[a] not in forbidden]
+            times = [[p * a % n for p in range(n)] for a in pool]
+
+            @functools.cache
+            def longest(P: frozenset) -> tuple[int, ...]:
+                """Longest free extension of product set P by terms from
+                pool[i:], at index i."""
+                out = [0] * (len(pool) + 1)
+                for i in range(len(pool) - 1, -1, -1):
+                    Q = frozenset([times[i][p] for p in P]).union(P, (pool[i],))
+                    out[i] = out[i + 1]
+                    if Q.isdisjoint(forbidden):
+                        out[i] = max(out[i], 1 + longest(Q)[i])
+                return tuple(out)
+
+            groups: dict[frozenset, set[frozenset]] = {}
+            for length in (1, 2, 3):
+                for seq in itertools.combinations_with_replacement(pool, length):
+                    P = frozenset(brute_product_set(seq, n))
+                    if P.isdisjoint(forbidden):
+                        bad = frozenset(
+                            x for x in pool for t in P if t * x % n in forbidden
+                        )
+                        groups.setdefault(bad, set()).add(P)
+            for bad, sets in groups.items():
+                if kind == "U":
+                    assert len(sets) == 1, (n, sorted(bad))
+                elif len(sets) > 1:
+                    assert len({longest(P) for P in sets}) == 1, (n, sorted(bad))
+                    merged += len(sets)
+    assert merged > 0
 
 
 def test_image_tables_are_built_on_first_use():
