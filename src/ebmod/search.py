@@ -21,81 +21,104 @@ Key facts the engine leans on:
 
 * Canonical order.  Sequences are multisets, so the search enumerates
   only nondecreasing term orders: a query is a state (below) and a
-  floor, the lowest element still allowed as the next term.
+  floor, the lowest element still allowed as the next term, of which
+  the walk tries only the terms the power bound (below) leaves.
 
 * Strict growth.  Adding a term to a free sequence strictly grows the
   product set (if it didn't, some power of the added term would already
   be an achieved product and idempotent/one, contradicting freeness).
   Hence a free sequence of length L has |product set| >= L, and L can
   never exceed cap = (number of monoid elements that may appear in a
-  free product set).
+  free product set).  This needs every idempotent that is a product of
+  candidates to be forbidden, as it is for both callers: the
+  idempotents of M(n), and 1, the only idempotent of a unit group.
 
-* The state word.  Call a candidate that is not forbidden usable; the
-  caller's candidates must be closed in the sense that a product of
+* The allowed-set state.  Call a candidate that is not forbidden usable;
+  the caller's candidates must be closed in the sense that a product of
   usable elements is usable or forbidden, which holds for the units,
   for M(n) and for Z/nZ with every residue a candidate.  For a product
-  set S let bad(S) = {x usable : s*x is forbidden for some s in S}, and
-  carry a state as the one int W = S | bad(S) << size.  Appending a
+  set S let bad(S) = {x usable : s*x is forbidden for some s in S} and
+  allowed(S) = usable minus bad(S); a state is the one size-bit int A =
+  allowed(S), and the empty sequence's is the usable set.  Appending a
   usable a to a free sequence with product set S gives T = S | {a} |
-  S*a, which is free exactly when a is not in bad(S): S avoids the
-  forbidden set, {a} does since a is usable, and S*a meets it iff some
-  s in S has s*a forbidden.  So the terms a free state may take next
-  are the set bits of (usable elements >= floor) & ~bad(S), and the
-  walk tests no candidate one by one.  Writing word(t) = {t} | pre(t)
-  << size with pre(t) = {x usable : t*x forbidden}, bad(T) is the union
-  of pre(t) over t in T, so T's word is W | word(a) | the OR of
-  word(s*a) over s in S.  A per-candidate table holds that OR for every
-  subset of each 8-element chunk of S, so one OR pass over S's nonzero
-  chunks builds T and bad(T) together.  A state with one term left to
-  place is proved by any allowed term, without building a child.
+  S*a, which is free exactly when a is in A: S avoids the forbidden
+  set, {a} does since a is usable, and S*a meets it iff some s in S has
+  s*a forbidden.  So the terms a state may take next are the set bits
+  of A above the floor, and the walk tests no candidate one by one.
+  Then allowed(T) = A & a^-1 A = {x in A : a*x in A}.  Proof: bad(T) is
+  bad(S) with pre(a) and pre(s*a), s in S, added, where pre(t) = {x
+  usable : t*x forbidden}; so a usable x lies in bad(T) exactly when x
+  is in bad(S), or a*x is forbidden, or s*(a*x) is forbidden for some s
+  in S.  By closure a*x is usable or forbidden, and when it is usable
+  the last case says a*x is in bad(S).  So x is allowed after a exactly
+  when x is in A and a*x is in A.  A per-candidate table holds, for every
+  subset of each 8-element chunk of A, the usable x with a*x in that
+  subset, so one OR pass over A's nonzero chunks builds a^-1 A.
 
-* The allowed-set bound.  If T (free) extends by r more terms b_1..b_r,
-  their own product set P avoids the forbidden set, and P*T does too,
-  so P misses bad(T); P holds products of usable elements, none
-  forbidden, so P lies in the usable set; and b_1..b_r is free on its
-  own, so |P| >= r by strict growth.  Hence r <= |usable| - |bad(T)|,
-  and a child T with |bad(T)| + (r - 1) > |usable| is dropped where it
-  is made, before it becomes a state.  For both callers |bad(T)| >=
-  |T|, so it is at least as strong as strict growth.  In a unit group
-  bad(T) = T^-1.  In M(n) the map acting componentwise by u -> u^-1
-  on a unit, p^j -> p^(k - j) for 1 <= j < k and p^k -> p^k is an
-  involution, hence injective, and it sends each t to an element t'
-  with t*t' idempotent in every component; t' is idempotent only when
-  t is, and T has no idempotent, so t' is usable (every element of
-  M(n) is a candidate) and lies in bad(T).  So every child of the
-  empty sequence has a nonempty bad set, and the bound refutes any r >
-  |usable| there without a state: the engine needs no cap.
+* Reach depends on the allowed set alone.  Let a free sequence have
+  product set S, and let B = b_1..b_r be further terms with product set
+  P.  The joined sequence has product set S | P | S*P, so it is free
+  exactly when (i) B is free, i.e. P avoids the forbidden set, and (ii)
+  S*P avoids it.  Under (i) P holds products of usable elements, none
+  of them forbidden, so P lies in the usable set by the closure above,
+  and then (ii) says exactly that P misses bad(S): P lies in
+  allowed(S).  Neither condition reads S itself, so two states with
+  one allowed set extend by the same terms from every floor, and the
+  memo is keyed on A.  A and bad(S) determine each other, and in a unit
+  group bad(S) = S^-1 is a bijective image of S, so there the key only
+  renames the states; in M(n) many product sets share one allowed set,
+  and the memo answers them all from one entry.
 
-* Reach depends on bad(S) alone.  Let a free sequence have product
-  set S, and let B = b_1..b_r be further terms with product set P.  The
-  joined sequence has product set S | P | S*P, so it is free exactly
-  when (i) B is free, i.e. P avoids the forbidden set, and (ii) S*P
-  avoids it.  Under (i) P holds products of usable elements, none of
-  them forbidden, so P lies in the usable set by the closure above, and
-  then (ii) says exactly that P misses bad(S).  Neither condition reads
-  S itself, so two states with one bad set extend by the same terms from
-  every floor: reach(S, f) = reach(bad(S), f).  The memo is keyed on
-  bad(S), the high half of the state word.  In a unit group bad(S) =
-  S^-1 is a bijective image of S, so the key only renames the states;
-  in M(n) many product sets share one bad set, and the memo answers
-  them all from one entry.
+* The allowed-set bound.  If T extends by r more terms, their product
+  set P lies in allowed(T) by the lemma above, and b_1..b_r is free on
+  its own, so |P| >= r by strict growth.  Hence r <= |allowed(T)|, and
+  a child with fewer allowed elements than terms still to place is
+  dropped where it is made, before it becomes a state.  For both
+  callers |bad(T)| >= |T|, so it is at least as strong as strict
+  growth.  In a unit group bad(T) = T^-1.  In M(n) the map acting
+  componentwise by u -> u^-1 on a unit, p^j -> p^(k - j) for 1 <= j <
+  k and p^k -> p^k is an involution, hence injective, and it sends each
+  t to an element t' with t*t' idempotent in every component; t' is
+  idempotent only when t is, and T has no idempotent, so t' is usable
+  (every element of M(n) is a candidate) and lies in bad(T).  So every
+  child of the empty sequence has a nonempty bad set, and the bound
+  refutes any r > |usable| there without a state: the engine needs no
+  cap.
+
+* The power bound.  Let the r terms above all be >= the floor f, and
+  let mult_A(b) count the leading powers b, b^2, b^3, ... that lie in A
+  = allowed(T).  A term b taken j times makes b, b^2, ..., b^j
+  sub-products, so all of them lie in P, which lies in A; hence j <=
+  mult_A(b), and summing over the terms, which lie in A and are >= f,
+  r <= the sum of mult_A(b) over the b in A with b >= f.  The walk
+  adds these up from the top of A down and stops at the first b at
+  which the sum reaches r.  If the smallest term of an extension were
+  above that b, every term would be among the elements scanned before
+  it, whose sum is short of r; so only the terms of A from f up to b
+  can open an extension, and they are all the next call tries (its own
+  later terms range over A above the one it takes).  When the sum
+  stays short, the child is dropped before it becomes a state.  With
+  one term left to place the sum reaches 1 at the top allowed element,
+  so the bound passes exactly when some term can be placed.
 
 * Monotone reach.  If a state extends by r further terms, it extends
   by fewer; if it cannot extend by r, it cannot extend by more.  Reach
   is monotone in the floor too: the elements >= g include those >= f
   when g <= f, so an extension by r from floor f is one from every
   lower floor, and none from f means none from any higher floor.  The
-  entry for a bad set packs into one int the floor f it was last
+  entry for an allowed set packs into one int the floor f it was last
   computed at and two bounds there, the best r proven reachable and the
-  worst r proven unreachable.  A query at a floor g <= f answers True
+  worst r proven unreachable; the power bound only leaves out next
+  terms that open no extension, so the verdict of a walk over the terms
+  it leaves is the one from f.  A query at a floor g <= f answers True
   up to the first bound, one at g >= f answers False from the second;
   any other query walks the state's children at g, starting from the
   bound that still holds, and overwrites the entry with g's bounds.
   Whichever product set made the entry, the bounds hold for every state
-  with that bad set, so a hit changes no verdict, and with it no probe,
-  witness or order of the walk.  FreeSearch._next, the one walk, reads
-  the entry of each child where it builds it, and the probes and the
-  witness reconstruction share the memo.
+  with that allowed set, so a hit changes no verdict, and with it no
+  probe, witness or order of the walk.  FreeSearch._next, the one walk,
+  reads the entry of each child where it builds it, and the probes and
+  the witness reconstruction share the memo.
 
 Probing order exploits the cost asymmetry: refuting length r costs
 roughly exponential in the slack cap - r, so longest_free gallops
@@ -134,7 +157,7 @@ _TIME_CHECK_PERIOD = 4096
 class SearchBudget:
     """Resource limits for one exact search.
 
-    max_states caps the memo table, one entry per distinct bad set
+    max_states caps the memo table, one entry per distinct allowed set
     explored (see the module docstring); blowing it raises
     BudgetExceeded, which callers convert into an honest undecided
     verdict.  max_seconds is wall-clock, checked coarsely.  Both must
@@ -159,8 +182,9 @@ class Monoid(NamedTuple):
     taking classes is a homomorphism, product() is the monoid's product.
     forbidden masks the forbidden elements; candidates lists the
     elements a sequence may use (the engine drops the forbidden ones),
-    and a product of two of them must be one of them or forbidden, as
-    the allowed-set bound of the module docstring requires."""
+    and a product of two of them must be one of them or forbidden, and
+    forbidden when it is idempotent, as the allowed-set state and strict
+    growth of the module docstring require."""
 
     n: int
     labels: Sequence[int]
@@ -179,11 +203,11 @@ def _check_size(size: int, cap: int) -> None:
     if cap >= 1 << _LO_SHIFT:
         raise BudgetExceeded(f"state space of a {size}-element monoid is out of reach")
     # At most one table per candidate.  A cell is an 8-byte list slot
-    # holding a state word, a 2*size-bit int of 24 + 4*ceil(size/15)
+    # holding a set of preimages, a size-bit int of 24 + 4*ceil(size/30)
     # bytes, so the 2^23 cells admitted take at most 2^23 * (32 +
-    # 4*ceil(size/15)) bytes: 1.3 GiB at size 512, the largest that
+    # 4*ceil(size/30)) bytes: 0.8 GiB at size 512, the largest that
     # passes with cap = size - 2, and more at larger sizes with smaller
-    # caps.  Cells holding S alone took about 60% of that.
+    # caps.
     table_cells = cap * ((size + 7) // 8) * 256
     if table_cells > 1 << 23:
         raise BudgetExceeded(
@@ -202,32 +226,24 @@ class FreeSearch:
     avoiding its forbidden mask, with lexicographically-smallest
     witness, in the monoid on 0..size - 1 whose product rule is
     monoid.product; _next is its one walk.  The size guards are not
-    run here: longest_free runs them before it builds the monoid.  The
-    words of all elements are built up front; a candidate's image table
-    is built on the first child it makes, so a walk that tries few
-    candidates builds few tables."""
+    run here: longest_free runs them before it builds the monoid.  A
+    candidate's preimage table is built on the first child it makes,
+    and an element's powers on the first power bound that reads them,
+    so a walk that tries few candidates builds few of either."""
 
     def __init__(self, monoid: Monoid, budget: SearchBudget):
         self.size = size = len(monoid.labels)
-        self.product = product = monoid.product
+        self.product = monoid.product
         self.forbidden = forbidden = monoid.forbidden
         self.budget = budget
         self._nbytes = (size + 7) // 8
-        self._low = (1 << size) - 1
         # a forbidden term is never part of a free sequence
         self.candidates = cands = sorted(
             a for a in monoid.candidates if not forbidden >> a & 1
         )
-        self._usable_count = len(cands)
-        usable = sum(1 << a for a in cands)
+        self._usable = usable = sum(1 << a for a in cands)
         # _above[f]: the usable elements >= f, for every floor f
         self._above = [usable >> f << f for f in range(size + 1)]
-        # _word[t]: the state word of the product set {t}
-        self._word = [
-            1 << t
-            | sum(1 << x for x in cands if forbidden >> product(t, x) & 1) << size
-            for t in range(size)
-        ]
         self._memo: dict[int, int] = {}
         self._states = 0
         self._deadline = (
@@ -236,29 +252,65 @@ class FreeSearch:
             else None
         )
         self._tables: list[list[int] | None] = [None] * size
+        self._powers: list[list[int] | None] = [None] * size
 
     def _build_table(self, a: int) -> list[int]:
-        """Per 8-bit chunk c of a product set, the OR of the words of s*a
-        over every subset b of that chunk, at index c << 8 | b.  Each
-        element of the chunk doubles the entries built so far."""
-        product, word = self.product, self._word
+        """Per 8-bit chunk c of an allowed set, the usable x with a*x in
+        the subset b of that chunk, at index c << 8 | b.  Each element of
+        the chunk doubles the entries built so far."""
+        pre = [0] * self.size
+        for x in self.candidates:
+            pre[self.product(x, a)] |= 1 << x
         table: list[int] = []
         for base in range(0, self.size, 8):
             chunk = [0]
-            for s in range(base, min(base + 8, self.size)):
-                bit = word[product(s, a)]
-                chunk += [v | bit for v in chunk]
+            for y in pre[base : base + 8]:
+                chunk += [v | y for v in chunk]
             table += chunk
         self._tables[a] = table
         return table
 
-    def _chunks(self, S: int) -> list[int]:
-        """Table indices c << 8 | b of the nonzero bytes b of S."""
+    def _build_powers(self, b: int) -> list[int]:
+        """The bits of b, b^2, b^3, ... up to the first power that is not
+        usable.  They are distinct, so there are at most as many as usable
+        elements: a repeat would make an earlier power of b idempotent,
+        and an idempotent product of usable elements is forbidden (see
+        Strict growth in the module docstring)."""
+        powers = [1 << b]
+        x = b
+        for _ in self.candidates:
+            x = self.product(x, b)
+            if not self._usable >> x & 1:
+                break
+            powers.append(1 << x)
+        self._powers[b] = powers
+        return powers
+
+    def _chunks(self, A: int) -> list[int]:
+        """Table indices c << 8 | b of the nonzero bytes b of A."""
         return [
             c << 8 | b
-            for c, b in enumerate(S.to_bytes(self._nbytes, "little"))
+            for c, b in enumerate(A.to_bytes(self._nbytes, "little"))
             if b
         ]
+
+    def _cut(self, A: int, floor: int, r: int) -> int:
+        """The terms of A that the power bound of the module docstring
+        leaves to open an extension of the state A by r >= 1 terms >=
+        floor: those from floor up to the b at which the sum of mult_A,
+        taken down from the top of A, reaches r; 0 when it stays short."""
+        powers = self._powers
+        left = A & self._above[floor]
+        while left:
+            b = left.bit_length() - 1
+            left ^= 1 << b
+            for p in powers[b] or self._build_powers(b):
+                if not A & p:
+                    break
+                r -= 1
+                if not r:
+                    return left | 1 << b
+        return 0
 
     def _tick(self) -> None:
         self._states += 1
@@ -272,32 +324,30 @@ class FreeSearch:
                     f"search exceeded {self.budget.max_seconds} seconds"
                 )
 
-    def _next(self, W: int, floor: int, r: int) -> tuple[int, int] | None:
-        """(a, T) for the smallest term a >= floor allowed after the state
-        word W whose child, of state word T, extends by r - 1 >= 0 further
-        terms drawn (nondecreasingly) from the usable elements >= a; None
-        if there is no such a."""
-        size, word, tables, memo = self.size, self._word, self._tables, self._memo
-        chunks = self._chunks(W & self._low)
+    def _next(self, A: int, terms: int, r: int) -> tuple[int, int] | None:
+        """(a, T) for the smallest term a in the mask `terms` whose child,
+        of allowed set T, extends by r - 1 >= 0 further terms drawn
+        (nondecreasingly) from the usable elements >= a; None if there is
+        no such a.  `terms` is what _cut leaves of the allowed set A above
+        a floor, so the answer is the one for every term of A from there."""
+        tables, memo = self._tables, self._memo
+        chunks = self._chunks(A)
         rest = r - 1
-        room = self._usable_count - rest
-        allowed = self._above[floor] & ~(W >> size)
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
+        while terms:
+            low = terms & -terms
+            terms ^= low
             a = low.bit_length() - 1
             tbl = tables[a] or self._build_table(a)
-            T = W | word[a]
+            pre = 0
             for cb in chunks:
-                T |= tbl[cb]
+                pre |= tbl[cb]
+            T = A & pre
             if rest == 0:
                 return a, T
-            bad = T >> size
-            if bad.bit_count() > room:
+            if T.bit_count() < rest:
                 continue
-            ent = memo.get(bad)
+            ent = memo.get(T)
             if ent is None:
-                self._tick()
                 hi, lo = 0, _LO_INIT  # hi_true 0, lo_false "infinity"
             else:
                 # the entry's bounds hold at its floor f; a lower floor allows
@@ -310,34 +360,35 @@ class FreeSearch:
                     return a, T
                 if rest >= lo:
                     continue
-            # with one term left any allowed term proves T, unbuilt
-            if rest == 1:
-                found = self._above[a] & ~bad != 0
-            else:
-                found = self._next(T, a, rest) is not None
-            if found:
-                memo[bad] = a << _FLOOR_SHIFT | lo << _LO_SHIFT | rest
+            sub = self._cut(T, a, rest)
+            if not sub:
+                continue
+            if ent is None:
+                self._tick()
+            if self._next(T, sub, rest) is not None:
+                memo[T] = a << _FLOOR_SHIFT | lo << _LO_SHIFT | rest
                 return a, T
-            memo[bad] = a << _FLOOR_SHIFT | rest << _LO_SHIFT | hi
+            memo[T] = a << _FLOOR_SHIFT | rest << _LO_SHIFT | hi
         return None
 
     def exists_free(self, r: int) -> bool:
         """Is there a free sequence of length r?"""
-        return r <= 0 or self._next(0, 0, r) is not None
+        A = self._usable
+        return r <= 0 or self._next(A, self._cut(A, 0, r), r) is not None
 
     def witness(self, length: int) -> tuple[int, ...]:
         """Lexicographically smallest free sequence of the given length
         (which must be achievable — call after exists_free(length)
         returned True, so the walk reads its path from the memo)."""
         terms: list[int] = []
-        W = floor = 0
+        A, floor = self._usable, 0
         for remaining in range(length, 0, -1):
-            step = self._next(W, floor, remaining)
+            step = self._next(A, self._cut(A, floor, remaining), remaining)
             if step is None:
                 raise InconsistencyError(
                     f"witness reconstruction stuck at length {len(terms)}"
                 )  # unreachable if length is achievable
-            floor, W = step
+            floor, A = step
             terms.append(floor)
         return tuple(terms)
 

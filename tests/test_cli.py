@@ -325,8 +325,8 @@ def test_verify_and_scan_agree_when_the_confirming_search_runs_out(capsys):
     """n = 102 = 2*3*17 is squarefree, so the theorem gives I(102) = D = 17
     even when the I(n) search that would confirm it hits its budget;
     eb, verify and scan all report that value."""
-    # the confirming walk takes 4289 states, so 4000 runs out
-    budget = SearchBudget(max_states=4000)
+    # the confirming walk takes 1406 states, so 1000 runs out
+    budget = SearchBudget(max_states=1000)
     rep = verify_theorem(102, budget)
     assert (rep.eb_value, rep.eb_bounds, rep.equality_holds) == (17, None, True)
     assert rep.note == "search confirmation hit budget; value is theorem-exact"
@@ -336,14 +336,14 @@ def test_verify_and_scan_agree_when_the_confirming_search_runs_out(capsys):
     assert eb.constructed
     assert eb.witness.as_tuple() == rep.witness
     code, out, _ = run_cli(
-        capsys, "verify", "102", "--max-states", "4000", "--strict", "--format", "json"
+        capsys, "verify", "102", "--max-states", "1000", "--strict", "--format", "json"
     )
     assert code == 0
     res = json.loads(out)["results"]
     assert (res["eb_value"], res["eb_bounds"], res["equality_holds"]) == (17, None, True)
     assert res["notes"] == [rep.note]
     code, out, _ = run_cli(
-        capsys, "eb", "102", "--max-states", "4000", "--strict", "--format", "json"
+        capsys, "eb", "102", "--max-states", "1000", "--strict", "--format", "json"
     )
     assert code == 0
     res = json.loads(out)["results"]

@@ -147,8 +147,8 @@ def test_verify_theorem_builds_the_construction_once(monkeypatch):
         return real(n, budget)
 
     monkeypatch.setattr(ebc_mod, "construct_extremal", counted)
-    budget = SearchBudget(max_states=4000)
-    # 570's witness walk decides in 36 states; 102's takes 4289 and runs
+    budget = SearchBudget(max_states=1000)
+    # 570's witness walk decides in 36 states; 102's takes 1406 and runs
     # out, so eb_exact's witness is the construction, which verify_theorem
     # reuses
     for n, value, constructed in ((570, 38, False), (102, 17, True)):
@@ -245,12 +245,12 @@ def test_tiny_budget_brackets_contain_brute_values(monkeypatch, max_states):
             assert r.value == brute_eb(n)
 
 
-@pytest.mark.parametrize("n, max_states", ((8, 8), (10, 1), (12, 8)))
+@pytest.mark.parametrize("n, max_states", ((8, 2), (10, 1), (12, 7)))
 def test_undecided_bracket_uses_lengths_the_search_proved(monkeypatch, n, max_states):
     # With the Davenport floor weakened to 1, the bracket's low end can
     # only come from the free lengths the I(n) search proved before its
-    # budget ran out.  The budgets bind in M(n): that search takes 11
-    # states in M(8), 2 in M(10) = Z/5Z and 14 in M(12).
+    # budget ran out.  The budgets bind in M(n): that search takes 3
+    # states in M(8), 2 in M(10) = Z/5Z and 8 in M(12).
     monkeypatch.setattr(
         ebc_mod, "_davenport_or_bounds", lambda m, budget: (None, (1, m))
     )

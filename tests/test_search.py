@@ -101,29 +101,33 @@ def four_engines(n: int) -> list[tuple]:
     ]
 
 
-def brute_word(engine: FreeSearch, monoid, forbidden: set[int], seq) -> int:
-    """The state word of the residue sequence seq, from its brute product
-    set: the classes of its products, and above them bad, the usable x
-    with t*x forbidden for some product t."""
+def brute_allowed(engine: FreeSearch, monoid, forbidden: set[int], seq) -> int:
+    """The allowed set of the residue sequence seq, from its brute product
+    set: the usable x with t*x forbidden for no product t."""
     n, labels = monoid.n, monoid.labels
     products = brute_product_set(seq, n) if seq else set()
-    bad = [
+    return _mask(
         x
         for x in engine.candidates
-        if any(t * labels[x] % n in forbidden for t in products)
-    ]
-    return _mask(monoid.index[t] for t in products) | _mask(bad) << engine.size
+        if not any(t * labels[x] % n in forbidden for t in products)
+    )
 
 
-def child_word(engine: FreeSearch, W: int, a: int) -> int:
-    """The state word after appending the usable a to the state word W,
-    built as the engine's walk builds it: W, a's word, and a's image
-    table read at the nonzero bytes of W's product set."""
-    T = W | engine._word[a]
+def child_allowed(engine: FreeSearch, A: int, a: int) -> int:
+    """The allowed set after appending the usable a to the state A, built
+    as the engine's walk builds it: a's preimage table read at the
+    nonzero bytes of A, and the union intersected with A."""
     table = engine._tables[a] or engine._build_table(a)
-    for cb in engine._chunks(W & engine._low):
-        T |= table[cb]
-    return T
+    pre = 0
+    for cb in engine._chunks(A):
+        pre |= table[cb]
+    return A & pre
+
+
+def walk(engine: FreeSearch, A: int, floor: int, r: int):
+    """_next from the state A over the terms >= floor that the power bound
+    leaves, as exists_free and witness call it."""
+    return engine._next(A, engine._cut(A, floor, r), r)
 
 
 def longest(args: tuple, floor: int = 1, ceiling: int | None = None, budget=SearchBudget()):
@@ -150,34 +154,6 @@ def probes(monkeypatch) -> list[tuple[int, bool]]:
 
     monkeypatch.setattr(FreeSearch, "exists_free", counted)
     return verdicts
-
-
-@functools.cache
-def _reference_tables(size: int, product, a: int) -> list[list[int]]:
-    tables = []
-    for c in range((size + 7) // 8):
-        row = [0] * 256
-        for j in range(8):
-            if 8 * c + j < size:
-                row[1 << j] = 1 << product(8 * c + j, a)
-        for v in range(3, 256):
-            low = v & -v
-            if v != low:
-                row[v] = row[v & (v - 1)] | row[low]
-        tables.append(row)
-    return tables
-
-
-def reference_image(engine: FreeSearch, a: int, S: int) -> int:
-    """Product set after appending a to a sequence with product set S,
-    the way the engine once computed it: per-chunk tables indexed
-    [chunk][byte], built up front, and S split into bytes on every call."""
-    tables = _reference_tables(engine.size, engine.product, a)
-    img = 1 << a
-    for c, b in enumerate(S.to_bytes((engine.size + 7) // 8, "little")):
-        if b:
-            img |= tables[c][b]
-    return S | img
 
 
 @pytest.mark.parametrize("n", SMALL_N)
@@ -288,7 +264,8 @@ def test_prefilter_and_image_match_brute_product_sets(n, kind):
     # kind M: the I(n) engine over the quotient monoid, whose elements are
     # classes of residues; a product set there is the set of classes of
     # the brute product set's residues.  A term extends a state freely
-    # exactly when it lies outside the state's bad set
+    # exactly when it lies in the state's allowed set, and the child's
+    # allowed set, A & a^-1 A, is the one of the extended sequence
     engine = {"eb": eb_engine, "dav": dav_engine, "M": quotient_engine}[kind](n)
     forbidden = set(brute_idempotents(n)) if kind != "dav" else {1}
     # labels and classes: M(n)'s, else the identity labelling of Z/nZ
@@ -298,25 +275,25 @@ def test_prefilter_and_image_match_brute_product_sets(n, kind):
         n, [M.labels[a] for a in engine.candidates], forbidden, rng, count=25, max_len=7
     )
     for seq in sequences:
-        W = brute_word(engine, M, forbidden, seq)
-        S = W & engine._low
+        A = brute_allowed(engine, M, forbidden, seq)
         for a in engine.candidates:
             extended = seq + (M.labels[a],)
-            blocked = bool(W >> engine.size >> a & 1)
+            blocked = not A >> a & 1
             assert blocked == bool(brute_product_set(extended, n) & forbidden)
-            child = child_word(engine, W, a)
-            assert child & engine._low == reference_image(engine, a, S)
-            assert child == brute_word(engine, M, forbidden, extended)
+            child = child_allowed(engine, A, a)
+            assert child == brute_allowed(engine, M, forbidden, extended)
             if not blocked:
-                assert engine._next(W, a, 1) == (a, child)
+                assert walk(engine, A, a, 1) == (a, child)
 
 
 @pytest.mark.parametrize("n", (7, 12, 18, 33, 64, 72))
 def test_image_matches_reference_on_arbitrary_masks(n):
     # over the residues and over M(n): a proper quotient at 18 (the Z/2
-    # component drops), 64 and 72.  S and the bad set B are arbitrary, so
-    # the child's bad set is B with pre(t) of every new product t added,
-    # pre(t) being the usable x with t*x forbidden
+    # component drops), 64 and 72.  S is an arbitrary set of elements, so
+    # the child's bad set is bad(S) with pre(t) of every new product t
+    # added, pre(t) being the usable x with t*x forbidden, and the child's
+    # allowed set is the rest of the usable set; an arbitrary mask A
+    # gives the child {x in A : a*x in A}, the table read on its own
     for engine in (eb_engine(n), quotient_engine(n)):
         size, product = engine.size, engine.product
         pre = [
@@ -326,57 +303,65 @@ def test_image_matches_reference_on_arbitrary_masks(n):
         usable = _mask(engine.candidates)
         rng = random.Random(1000 + n)
         for _ in range(50):
-            S = rng.getrandbits(size)
-            B = rng.getrandbits(size) & usable
+            # a few elements, as the product set of a short sequence, so
+            # that bad(S) leaves much of the usable set allowed
+            S = _mask(rng.randrange(size) for _ in range(rng.randint(1, 4)))
+            bad = 0
+            for s in range(size):
+                if S >> s & 1:
+                    bad |= pre[s]
+            A = usable & ~bad
+            mask = rng.getrandbits(size) & usable
             for a in engine.candidates:
-                bad = B | pre[a]
+                child_bad = bad | pre[a]
                 for s in range(size):
                     if S >> s & 1:
-                        bad |= pre[product(s, a)]
-                expected = reference_image(engine, a, S) | bad << size
-                assert child_word(engine, S | B << size, a) == expected
-                if not B >> a & 1:
-                    assert engine._next(S | B << size, a, 1) == (a, expected)
+                        child_bad |= pre[product(s, a)]
+                expected = usable & ~child_bad
+                assert child_allowed(engine, A, a) == expected
+                if A >> a & 1:
+                    assert walk(engine, A, a, 1) == (a, expected)
+                assert child_allowed(engine, mask, a) == _mask(
+                    x for x in engine.candidates
+                    if mask >> x & 1 and mask >> product(a, x) & 1
+                )
 
 
 @pytest.mark.parametrize("kind, n", [("M", 12), ("M", 36), ("dav", 63)])
 def test_memo_answers_do_not_depend_on_query_order(kind, n):
     # One long-lived engine answers a seeded stream of _next queries whose
-    # product sets recur at lower and higher floors; each answer, the
-    # term and its child's word, must be the one a fresh engine gives
-    # that query alone.  The memo keeps one entry per bad set, and every
-    # state the engine counts is one entry
+    # allowed sets recur at lower and higher floors; each answer, the term
+    # and its child's allowed set, must be the one a fresh engine gives
+    # that query alone.  The memo keeps one entry per allowed set, and
+    # every state the engine counts is one entry
     if kind == "M":
-        f = factorize(n)
-        monoid, cap = _quotient_monoid(f), _quotient_size(f)[1]
-        forbidden = set(brute_idempotents(n))
+        monoid, forbidden = _quotient_monoid(factorize(n)), set(brute_idempotents(n))
     else:
         monoid, forbidden = _unit_monoid(n), {1}
-        cap = len(monoid.labels) - 2
     engine = FreeSearch(monoid, SearchBudget())
     rng = random.Random(7 * n)
     sequences = _random_free_sequences(
         n, [monoid.labels[a] for a in engine.candidates], forbidden, rng, count=30, max_len=5
     )
     # the empty product set is left out: at floor 0 its refutations are
-    # whole searches, about 180k states each in the units mod 63.  Each
-    # query is a reachable state: the word of a free sequence
-    words = [brute_word(engine, monoid, forbidden, seq) for seq in sequences[1:]]
+    # whole searches, about 74k states each in the units mod 63.  Each
+    # query is a reachable state: the allowed set of a free sequence
+    states = [brute_allowed(engine, monoid, forbidden, seq) for seq in sequences[1:]]
     last_floor: dict[int, int] = {}
     repeats = {"lower": 0, "higher": 0}
     verdicts = set()
     for _ in range(120):
         if last_floor and rng.random() < 0.5:
-            W = rng.choice(sorted(last_floor))
+            A = rng.choice(sorted(last_floor))
         else:
-            W = rng.choice(words)
+            A = rng.choice(states)
         floor = rng.randrange(engine.size + 1)
-        r = rng.randint(1, cap - (W & engine._low).bit_count() + 1)
-        if W in last_floor and floor != last_floor[W]:
-            repeats["lower" if floor < last_floor[W] else "higher"] += 1
-        last_floor[W] = floor
-        got = engine._next(W, floor, r)
-        assert got == FreeSearch(monoid, SearchBudget())._next(W, floor, r), (W, floor, r)
+        r = rng.randint(1, A.bit_count() + 1)
+        if A in last_floor and floor != last_floor[A]:
+            repeats["lower" if floor < last_floor[A] else "higher"] += 1
+        last_floor[A] = floor
+        got = walk(engine, A, floor, r)
+        assert got == walk(FreeSearch(monoid, SearchBudget()), A, floor, r), (A, floor, r)
         assert engine.states_used == len(engine._memo)
         verdicts.add(got is not None)
     assert min(repeats.values()) > 0 and verdicts == {True, False}, (repeats, verdicts)
@@ -398,23 +383,25 @@ def test_products_of_candidates_are_candidates_or_forbidden(n):
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_carried_bad_sets_match_their_definition(n):
-    # the word carried along a seeded free sequence, one _next per term,
-    # against bad(T) = {x usable : t*x forbidden for some t in T} taken
-    # from the brute product set T.  In M(n) the bad set is at least as
-    # large as T, so the allowed-set bound prunes wherever |T| + r > cap;
-    # in the units bad(T) = T^-1, and the two tests coincide
+    # the allowed set carried along a seeded free sequence, one _next per
+    # term, against the usable set less bad(T) = {x usable : t*x forbidden
+    # for some t in T}, taken from the brute product set T.  In M(n) the
+    # bad set is at least as large as T, so the allowed-set bound prunes
+    # wherever |T| + r > cap; in the units bad(T) = T^-1, and the two
+    # tests coincide
     rng = random.Random(3 * n)
     for kind, (engine, monoid, forbidden, _) in zip("MUed", four_engines(n)):
         cls = monoid.index
         for seq in _random_free_sequences(
             n, [monoid.labels[a] for a in engine.candidates], forbidden, rng, 8, 6
         ):
-            W = 0
+            A = _mask(engine.candidates)
             for i, r in enumerate(seq):
-                a, W = engine._next(W, cls[r], 1)
+                a, A = walk(engine, A, cls[r], 1)
                 assert a == cls[r]
-                assert W == brute_word(engine, monoid, forbidden, seq[: i + 1])
-                T, bad = (W & engine._low).bit_count(), (W >> engine.size).bit_count()
+                assert A == brute_allowed(engine, monoid, forbidden, seq[: i + 1])
+                T = len({cls[t] for t in brute_product_set(seq[: i + 1], n)})
+                bad = len(engine.candidates) - A.bit_count()
                 if kind == "M":
                     assert bad >= T
                 elif kind == "U":
@@ -423,9 +410,9 @@ def test_carried_bad_sets_match_their_definition(n):
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_reach_matches_brute_extensions(n):
-    # _next from the word of a seeded free prefix at a seeded floor,
-    # against every nondecreasing extension the freeness oracle accepts;
-    # the child it returns is the prefix with its term appended
+    # _next from the allowed set of a seeded free prefix at a seeded
+    # floor, against every nondecreasing extension the freeness oracle
+    # accepts; the child it returns is the prefix with its term appended
     rng = random.Random(5 * n)
     for engine, monoid, forbidden, is_free in four_engines(n):
         labels = monoid.labels
@@ -435,13 +422,76 @@ def test_reach_matches_brute_extensions(n):
             floor = rng.randrange(engine.size + 1)
             r = rng.randint(1, 2)
             pool = [labels[a] for a in monoid.candidates if a >= floor]
-            W = brute_word(engine, monoid, forbidden, seq)
-            got = engine._next(W, floor, r)
+            A = brute_allowed(engine, monoid, forbidden, seq)
+            got = walk(engine, A, floor, r)
             assert (got is not None) == brute_extends(seq, pool, r, n, is_free), (seq, floor, r)
             if got is not None:
                 a, T = got
                 assert a >= floor
-                assert T == brute_word(engine, monoid, forbidden, seq + (labels[a],))
+                assert T == brute_allowed(engine, monoid, forbidden, seq + (labels[a],))
+
+
+def power_sum(monoid, A: int, floor: int) -> int:
+    """The sum over the b in the set A with b >= floor of the number of
+    leading powers b, b^2, ... that lie in A."""
+    total = 0
+    for b in range(floor, len(monoid.labels)):
+        x = b
+        for _ in monoid.labels:
+            if not A >> x & 1:
+                break
+            total += 1
+            x = monoid.product(x, b)
+    return total
+
+
+def test_power_bound_is_necessary():
+    # From the allowed set A of a seeded free prefix at a seeded floor: if
+    # the power sum of A from the floor is below r, no r nondecreasing
+    # terms from the floor extend the prefix, and the engine's cut is
+    # empty; otherwise the cut keeps the first term of the smallest
+    # extension.  Over M(n) and the units for n <= 40; some of the
+    # refuted lengths are within the allowed-set bound |A|, and some cuts
+    # leave out terms above the first one
+    rng = random.Random(11)
+    refuted = within = trimmed = 0
+    for n in range(3, 41):
+        for engine, monoid, forbidden, is_free in four_engines(n)[:2]:
+            labels = monoid.labels
+            for seq in _random_free_sequences(
+                n, [labels[a] for a in engine.candidates], forbidden, rng, 4, 5
+            ):
+                A = brute_allowed(engine, monoid, forbidden, seq)
+                floor = rng.randrange(engine.size + 1)
+                pool = [labels[a] for a in monoid.candidates if a >= floor]
+                total = power_sum(monoid, A, floor)
+                for r in (1, 2, 3):
+                    cut = engine._cut(A, floor, r)
+                    if total < r:
+                        refuted += 1
+                        within += r <= A.bit_count()
+                        assert cut == 0
+                        assert not brute_extends(seq, pool, r, n, is_free), (n, seq, floor, r)
+                        continue
+                    assert cut and cut & ~(A >> floor << floor) == 0
+                    first = next(
+                        (
+                            a
+                            for a in engine.candidates
+                            if a >= floor
+                            and brute_extends(
+                                seq + (labels[a],),
+                                [labels[b] for b in monoid.candidates if b >= a],
+                                r - 1,
+                                n,
+                                is_free,
+                            )
+                        ),
+                        None,
+                    )
+                    assert first is None or cut >> first & 1, (n, seq, floor, r)
+                    trimmed += first is not None and cut != A >> floor << floor
+    assert min(refuted, within, trimmed) > 0, (refuted, within, trimmed)
 
 
 def test_reach_depends_on_the_bad_set_alone():
