@@ -221,14 +221,22 @@ def _at_threshold(T: ResidueSequence, n: int, budget: SearchBudget, squarefree: 
     """The extractors' shared prologue: (factorization of n, D), once T is
     a sequence mod n, n is squarefree or a prime power as the extractor
     asks, and |T| reaches the theorem's threshold I(n) = D + Omega - omega,
-    which is D + k - 1 for n = p^k and D for squarefree n."""
+    which is D + k - 1 for n = p^k and D for squarefree n.  A certified
+    bracket [D, D] gives D, as when a theorem fixes D but the engine's
+    size guard refuses its witness walk; an open one re-raises."""
     if T.n != n:
         raise DomainError(f"sequence modulus {T.n} != {n}")
     f = factorize(n)
     if not (f.is_squarefree if squarefree else f.is_prime_power):
         kind = "squarefree" if squarefree else "a prime power"
         raise DomainError(f"{n} is not {kind}")
-    D = davenport_exact(n, budget).value
+    try:
+        D = davenport_exact(n, budget).value
+    except UndecidedError as exc:
+        lo, hi = exc.bounds
+        if lo != hi:
+            raise
+        D = lo
     threshold = D + f.big_omega - f.omega
     if len(T) < threshold:
         raise DomainError(

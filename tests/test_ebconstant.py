@@ -360,6 +360,45 @@ def test_extract_squarefree_preconditions():
         extract_witness_squarefree(ResidueSequence(6, (5,)), 6)  # below D
 
 
+def test_extractors_take_a_d_the_theorem_pins_past_the_size_guard():
+    # D((Z/1009Z)^x) = D(C1008) = 1008 by Olson, but the engine's size guard
+    # refuses the witness walk, so davenport_exact leaves the bracket [1008, 1008]
+    with pytest.raises(UndecidedError) as info:
+        davenport_exact(1009)
+    assert info.value.bounds == (1008, 1008)
+    rng = random.Random(1009)
+    T = ResidueSequence(1009, [rng.randrange(1, 1009) for _ in range(1008)])
+    W = extract_witness_prime_power(T, 1009)
+    certify_mod.idempotent_product(W)
+    assert not Counter(W) - Counter(T)
+    # 4097 = 17 * 241 is squarefree and D = D(C16+C240) = 255 is pinned alike
+    T = ResidueSequence(4097, [rng.randrange(4097) for _ in range(255)])
+    W = extract_witness_squarefree(T, 4097)
+    certify_mod.idempotent_product(W)
+    assert not Counter(W) - Counter(T)
+
+
+def test_prime_power_extractor_takes_the_traced_product_one_route(monkeypatch):
+    # perfbench's sequences.product_one_s layer times the extractor's
+    # product-one step through find_product_one_subsequence, so a unit-heavy
+    # threshold sequence must reach it, once, through ebconstant's binding
+    calls = []
+    real = ebc_mod.find_product_one_subsequence
+
+    def counted(T):
+        calls.append(T)
+        return real(T)
+
+    monkeypatch.setattr(ebc_mod, "find_product_one_subsequence", counted)
+    rng = random.Random(169)
+    units = [a for a in range(1, 169) if a % 13]
+    threshold = davenport_exact(169).value + 1  # D + k - 1 for 13^2
+    T = ResidueSequence(169, [rng.choice(units) for _ in range(threshold)])
+    W = extract_witness_prime_power(T, 169)
+    certify_mod.idempotent_product(W)
+    assert len(calls) == 1
+
+
 def test_one_extraction_factorizes_n_once_when_d_is_cached(monkeypatch):
     """The extractors' prologue factorizes n, and davenport_exact reads a
     cached D before it would factorize n again.  Every module binding of

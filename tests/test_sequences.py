@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
 from ebmod.arith import factorize, lift_to_unit
+from ebmod.davenport import davenport_exact
 from ebmod.errors import DomainError
 from ebmod.sequences import (
     ResidueSequence,
@@ -153,6 +155,66 @@ def test_product_one_dp_keeps_the_sort_key_tie_break(n):
         ]
         pairs = sorted((a, lift_to_unit(a, f)) for a in terms)
         assert _min_product_one_pick(pairs, n) == bitscan_product_one_pick(pairs, n)
+
+
+# a cyclic unit group, then ranks 2, 3 and 4: C156, C6+C6, C2+C2+C12, C2+C2+C2+C4
+EARLY_EXIT_MODULI = (169, 63, 105, 120)
+
+
+@pytest.mark.parametrize("n", EARLY_EXIT_MODULI)
+def test_product_one_dp_answers_at_level_one_wherever_the_identity_sits(n):
+    # sort keys apart from the units, as the squarefree extractor's lifts
+    # have them, so the identity can sit first, in the middle or last
+    rng = random.Random(n)
+    units = [a for a in range(2, n) if gcd(a, n) == 1]
+    L = 12
+    for ones in ((0,), (L // 2,), (L - 1,), (3, 8), (0, L - 1)):
+        for _ in range(10):
+            values = [1 if i in ones else rng.choice(units) for i in range(L)]
+            pairs = list(enumerate(values))
+            got = _min_product_one_pick(pairs, n)
+            assert got == bitscan_product_one_pick(pairs, n)
+            assert got == [(ones[0], 1)]
+
+
+@pytest.mark.parametrize("n", EARLY_EXIT_MODULI)
+@pytest.mark.parametrize("level", (2, 3, 4, 5))
+def test_product_one_dp_stops_its_last_level_partway(n, level):
+    # the answer has `level` terms, and the suffix after the first term
+    # already holds one of that length, so the last level's loop meets the
+    # identity before it reaches the first start
+    rng = random.Random(n * 10 + level)
+    units = [a for a in range(2, n) if gcd(a, n) == 1]
+    hits = 0
+    for _ in range(3000):
+        L = rng.randint(level + 1, level + 5)
+        pairs = [(v, v) for v in sorted(rng.choice(units) for _ in range(L))]
+        want = bitscan_product_one_pick(pairs, n)
+        suffix = bitscan_product_one_pick(pairs[1:], n)
+        if want is None or len(want) != level or suffix is None or len(suffix) != level:
+            continue
+        assert _min_product_one_pick(pairs, n) == want
+        hits += 1
+        if hits == 3:
+            break
+    assert hits == 3
+
+
+@pytest.mark.parametrize("n", (169, 63, 105, 210))
+def test_product_one_dp_on_a_davenport_witness_and_its_completion(n):
+    # a maximum product-one free sequence has no answer; with the inverse
+    # of its product added, the answer may take every term
+    witness = davenport_exact(n).witness.as_tuple()
+    pairs = [(v, v) for v in witness]
+    assert _min_product_one_pick(pairs, n) is None
+    assert bitscan_product_one_pick(pairs, n) is None
+    product = 1
+    for v in witness:
+        product = product * v % n
+    completed = sorted((*witness, pow(product, -1, n)))
+    pairs = [(v, v) for v in completed]
+    got = _min_product_one_pick(pairs, n)
+    assert got is not None and got == bitscan_product_one_pick(pairs, n)
 
 
 def test_running_product_sets_strictly_grow_along_free_sequences():
