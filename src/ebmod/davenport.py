@@ -33,7 +33,13 @@ from .arith import factorize
 from .errors import UndecidedError
 from .search import Monoid, SearchBudget, longest_free
 from .sequences import ResidueSequence
-from .unitgroup import invariant_generators, totient, unit_group_shape, units
+from .unitgroup import (
+    invariant_generators,
+    power_automorphisms,
+    totient,
+    unit_group_shape,
+    units,
+)
 
 
 @dataclass(frozen=True)
@@ -78,12 +84,20 @@ def _unit_monoid(n: int) -> Monoid:
     wide, not n.  0 is element 0 and no candidate; it keeps the identity
     at element 1, as in ebconstant's M(n), so the forbidden mask 1 << 1
     marks a Davenport engine in the tests and in perfbench's tracer.
-    The engine drops the forbidden unit 1 from the candidates."""
+    The engine drops the forbidden unit 1 from the candidates.  Its
+    symmetries are the power maps of the units' CRT components
+    (unitgroup.power_automorphisms), which fix 0."""
     labels = [0, *units(n)]
     index = [0] * n
     for i, a in enumerate(labels):
         index[a] = i
-    return Monoid(n, labels, index, 1 << 1, range(1, len(labels)))
+
+    def symmetries():
+        components = factorize(n).factors
+        keys = [tuple(a % p ** k for p, k in components) for a in labels]
+        return power_automorphisms(components, keys)
+
+    return Monoid(n, labels, index, 1 << 1, range(1, len(labels)), symmetries)
 
 
 # A repeated call with equal arguments returns the same object; a call

@@ -57,6 +57,7 @@ from .davenport import davenport_exact
 from .errors import DomainError, InconsistencyError, UndecidedError
 from .search import Monoid, SearchBudget, longest_free
 from .sequences import ResidueSequence, _min_product_one_pick, find_product_one_subsequence
+from .unitgroup import power_automorphisms
 
 STATUS_EXACT = "exact"
 STATUS_UNDECIDED = "undecided-at-budget"
@@ -112,9 +113,11 @@ def _quotient_monoid(f: Factorization) -> Monoid:
     residue.  A residue's class is its image in every component p^k != 2:
     its unit part u = r mod p^k when p does not divide r, else
     gcd(r, p^k) = p^min(v_p(r), k).  An element is idempotent when every
-    component is the unit 1 or p^k."""
+    component is the unit 1 or p^k.  Its symmetries are the power maps
+    of the components' unit parts (unitgroup.power_automorphisms)."""
     n = f.n
-    moduli = [(p, p ** k) for p, k in f.factors if p ** k != 2]
+    components = [(p, k) for p, k in f.factors if p ** k != 2]
+    moduli = [(p, p ** k) for p, k in components]
     first: dict[tuple[int, ...], int] = {}
     labels: list[int] = []
     index: list[int] = []
@@ -128,7 +131,11 @@ def _quotient_monoid(f: Factorization) -> Monoid:
             if all(c == 1 or c == q for c, (_, q) in zip(key, moduli)):
                 forbidden |= 1 << i
         index.append(i)
-    return Monoid(n, labels, index, forbidden, range(len(labels)))
+    keys = list(first)
+    return Monoid(
+        n, labels, index, forbidden, range(len(labels)),
+        lambda: power_automorphisms(components, keys),
+    )
 
 
 def _component(r: int, p: int, q: int) -> int:

@@ -120,6 +120,28 @@ Key facts the engine leans on:
   reads the entry of each child where it builds it, and the probes and
   the witness reconstruction share the memo.
 
+* Symmetry.  Let G be a set of automorphisms of the monoid that fix the
+  forbidden mask and the candidates, as Monoid.symmetries lists them.
+  Each g in G maps free sequences of length r to free sequences of
+  length r: g maps the product set onto the image's product set, and a
+  product avoids the forbidden mask exactly when its image does.  Let
+  s* = (a, b, ...) be the lexicographically smallest free sequence of
+  length r, sorted.  The smallest term of the sorted image g(s*) is at
+  most g(a), and its two smallest terms are at most those of sorted(g(a),
+  g(b)), term by term.  So g(a) < a, or sorted(g(a), g(b)) <_lex (a, b),
+  would make sorted g(s*) <_lex s*, against the choice of s*.  Hence
+  when some free sequence of length r exists, one exists whose first
+  term a has g(a) >= a for every g in G and whose second term b has
+  sorted(g(a), g(b)) >= (a, b) for every g in G, and a probe that tries
+  only such first two terms has the unpruned probe's verdict; G need not
+  be a group.  The power bound still applies, since s* is among the
+  extensions it keeps.  A root child's verdict in such a probe then
+  depends on its first term, so the child is neither read from the memo
+  nor written to it; states at depth >= 2 try every next term, so their
+  entries stay exact.  Only the gallop's probes past the confirmed
+  length prune, which are the ones that can refute; the confirming probe
+  and the witness walk try every term, so the witness cannot move.
+
 Probing order exploits the cost asymmetry: refuting length r costs
 roughly exponential in the slack cap - r, so longest_free gallops
 upward from a proven lower bound and pays one refutation, at the true
@@ -184,13 +206,18 @@ class Monoid(NamedTuple):
     elements a sequence may use (the engine drops the forbidden ones),
     and a product of two of them must be one of them or forbidden, and
     forbidden when it is idempotent, as the allowed-set state and strict
-    growth of the module docstring require."""
+    growth of the module docstring require.  symmetries() lists
+    automorphisms of the monoid as index permutations, each fixing the
+    forbidden mask and the candidates, for the engine's refuting probes
+    (Symmetry in the module docstring); the engine calls it on its first
+    such probe only, and the default lists none."""
 
     n: int
     labels: Sequence[int]
     index: Sequence[int]
     forbidden: int
     candidates: Iterable[int]
+    symmetries: Callable[[], Iterable[Sequence[int]]] = tuple
 
     def product(self, i: int, j: int) -> int:
         return self.index[self.labels[i] * self.labels[j] % self.n]
@@ -229,7 +256,8 @@ class FreeSearch:
     run here: longest_free runs them before it builds the monoid.  A
     candidate's preimage table is built on the first child it makes,
     and an element's powers on the first power bound that reads them,
-    so a walk that tries few candidates builds few of either."""
+    so a walk that tries few candidates builds few of either; the
+    monoid's symmetries are read on the first pruned probe."""
 
     def __init__(self, monoid: Monoid, budget: SearchBudget):
         self.size = size = len(monoid.labels)
@@ -253,6 +281,12 @@ class FreeSearch:
         )
         self._tables: list[list[int] | None] = [None] * size
         self._powers: list[list[int] | None] = [None] * size
+        # the automorphisms, the first terms they leave and, per first
+        # term, the second terms: built on the first pruned probe
+        self._symmetries = monoid.symmetries
+        self._group: list[Sequence[int]] | None = None
+        self._minima = 0
+        self._pairs: list[int | None] = [None] * size
 
     def _build_table(self, a: int) -> list[int]:
         """Per 8-bit chunk c of an allowed set, the usable x with a*x in
@@ -371,10 +405,61 @@ class FreeSearch:
             memo[T] = a << _FLOOR_SHIFT | rest << _LO_SHIFT | hi
         return None
 
-    def exists_free(self, r: int) -> bool:
-        """Is there a free sequence of length r?"""
+    def exists_free(self, r: int, prune: bool = False) -> bool:
+        """Is there a free sequence of length r?  With prune, and when the
+        monoid lists symmetries, the walk tries only the first two terms
+        the symmetry rules of the module docstring leave; the verdict is
+        the same, and the memo keeps only entries of depth >= 2 states,
+        which stay exact."""
+        if r <= 0:
+            return True
         A = self._usable
-        return r <= 0 or self._next(A, self._cut(A, 0, r), r) is not None
+        terms = self._cut(A, 0, r)
+        if prune and self._symmetric():
+            return self._pruned(terms & self._minima, r)
+        return self._next(A, terms, r) is not None
+
+    def _symmetric(self) -> bool:
+        """Build the group and its first terms on the first call; is it
+        nontrivial?"""
+        if self._group is None:
+            self._group = group = list(self._symmetries())
+            self._minima = sum(
+                1 << a for a in self.candidates if all(g[a] >= a for g in group)
+            )
+        return bool(self._group)
+
+    def _pruned(self, terms: int, r: int) -> bool:
+        """exists_free(r) over the first terms in `terms` and, after each
+        first term a, the second terms _pair_terms(a) leaves.  A root
+        child's verdict then depends on a, so it is not memoized."""
+        A, rest = self._usable, r - 1
+        if not rest:
+            return terms != 0
+        while terms:
+            low = terms & -terms
+            terms ^= low
+            a = low.bit_length() - 1
+            _, T = self._next(A, low, 1)  # a's child, built without the memo
+            sub = self._cut(T, a, rest) & self._pair_terms(a)
+            if sub and self._next(T, sub, rest) is not None:
+                return True
+        return False
+
+    def _pair_terms(self, a: int) -> int:
+        """The usable b >= a with sorted(g(a), g(b)) >= (a, b) for every g
+        in the group, built on the first call per a."""
+        pairs = self._pairs[a]
+        if pairs is None:
+            pairs = 0
+            for b in range(a, self.size):
+                if self._usable >> b & 1 and all(
+                    (a, b) <= ((g[a], g[b]) if g[a] <= g[b] else (g[b], g[a]))
+                    for g in self._group
+                ):
+                    pairs |= 1 << b
+            self._pairs[a] = pairs
+        return pairs
 
     def witness(self, length: int) -> tuple[int, ...]:
         """Lexicographically smallest free sequence of the given length
@@ -425,9 +510,11 @@ def longest_free(
     the value: one probe confirms floor - 1, and the gallop then probes
     upward while the next length is below ceiling, so floor == ceiling
     runs no refutation (cap bounds every free length, so ceiling = cap +
-    1 proves nothing more).  A budget that runs out leaves the bracket
-    [length + 1, ceiling], length being the longest the search confirmed
-    (floor - 1 before the first probe)."""
+    1 proves nothing more).  The gallop's probes prune by the monoid's
+    symmetries; the confirming probe and the witness walk do not.  A
+    budget that runs out leaves the bracket [length + 1, ceiling],
+    length being the longest the search confirmed (floor - 1 before the
+    first probe)."""
     engine = None
     length = floor - 1
     try:
@@ -438,7 +525,7 @@ def longest_free(
             raise InconsistencyError(
                 f"claimed lower bound {length} refuted for n={M.n}"
             )
-        while length + 1 < ceiling and engine.exists_free(length + 1):
+        while length + 1 < ceiling and engine.exists_free(length + 1, prune=True):
             length += 1
         witness = tuple(M.labels[i] for i in engine.witness(length))
     except BudgetExceeded as exc:

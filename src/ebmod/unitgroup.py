@@ -7,12 +7,16 @@ sequence, and log_index writes every unit as an exponent vector over
 those generators: the product-one DP of sequences indexes units by
 those vectors, where multiplying by a unit is a translation.  Witnesses
 stay residues, multiplied mod n, so checking one needs no discrete
-logarithm.
+logarithm.  power_automorphisms hands the search engine the power maps
+of each CRT component, which permute the elements of a monoid and fix
+its idempotents.
 """
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from math import gcd, prod
+from typing import Sequence
 
 from .arith import Factorization, crt_combine, factorize
 from .errors import DomainError, InconsistencyError
@@ -147,3 +151,45 @@ def log_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
             f"exponent vectors of (Z/{n}Z)^x are not one per unit"
         )  # unreachable
     return index, tuple(d for _, d in gens)
+
+
+def _exponent(p: int, k: int) -> int:
+    """Carmichael's lambda(p^k), the exponent of (Z/p^kZ)^x."""
+    if p == 2 and k >= 3:
+        return 2 ** (k - 2)
+    return p ** (k - 1) * (p - 1)
+
+
+def power_automorphisms(
+    components: Sequence[tuple[int, int]], keys: Sequence[tuple[int, ...]]
+) -> list[list[int]]:
+    """Index permutations of the maps that raise the unit part of each
+    component p^k to a power e with gcd(e, lambda(p^k)) = 1 and fix the
+    other elements of the component, one per choice of exponents mod
+    lambda(p^k) other than all 1.  keys[i] is element i's tuple of
+    images, one per component, a unit mod p^k or a multiple of p, and
+    distinct elements have distinct keys that the maps permute.
+
+    On U(p^k) such a power map is an automorphism, since the exponent is
+    invertible mod the group's exponent, and it fixes a non-unit image
+    p^j, which a unit times p^j equals; so on the units mod n and on
+    ebconstant's M(n) each is a monoid automorphism, and it fixes the
+    idempotents, whose unit parts are 1."""
+    where = {key: i for i, key in enumerate(keys)}
+    choices = []
+    for p, k in components:
+        lam = _exponent(p, k)
+        choices.append([e for e in range(1, lam + 1) if gcd(e, lam) == 1])
+    moduli = [(p, p ** k) for p, k in components]
+    perms = []
+    for es in product(*choices):
+        if all(e == 1 for e in es):
+            continue
+        perms.append([
+            where[tuple(
+                pow(c, e, q) if c % p else c
+                for c, e, (p, q) in zip(key, es, moduli)
+            )]
+            for key in keys
+        ])
+    return perms

@@ -164,8 +164,8 @@ def _eb_verdicts(monkeypatch) -> list[tuple[int, bool]]:
     verdicts = []
     real = FreeSearch.exists_free
 
-    def counted(self, r):
-        got = real(self, r)
+    def counted(self, r, prune=False):
+        got = real(self, r, prune)
         if self.forbidden != 1 << 1:  # not a Davenport engine
             verdicts.append((r, got))
         return got

@@ -147,8 +147,8 @@ def probes(monkeypatch) -> list[tuple[int, bool]]:
     verdicts = []
     real = FreeSearch.exists_free
 
-    def counted(self, r):
-        got = real(self, r)
+    def counted(self, r, prune=False):
+        got = real(self, r, prune)
         verdicts.append((r, got))
         return got
 
@@ -639,3 +639,95 @@ def test_a_budget_that_bounds_nothing_is_refused(kwargs):
         SearchBudget(**kwargs)
     SearchBudget(max_states=0, max_seconds=0)  # the edges stay legal
     SearchBudget(max_seconds=float("inf"))
+
+
+def _symmetric_monoids(n: int) -> list:
+    """M(n) and the units with 0 adjoined, as eb_exact and davenport_exact
+    build them, each handing over its power automorphisms."""
+    return [_quotient_monoid(factorize(n)), _unit_monoid(n)]
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_symmetries_are_automorphisms_fixing_the_forbidden_and_candidates(n):
+    for monoid in _symmetric_monoids(n):
+        size = len(monoid.labels)
+        group = list(monoid.symmetries())
+        candidates = set(monoid.candidates)
+        for g in group:
+            assert sorted(g) == list(range(size)) and g != list(range(size))
+            forbidden = [x for x in range(size) if monoid.forbidden >> x & 1]
+            assert _mask(g[x] for x in forbidden) == monoid.forbidden
+            assert {g[x] for x in candidates} == candidates
+            for x in range(size):
+                for y in range(size):
+                    assert g[monoid.product(x, y)] == monoid.product(g[x], g[y])
+        assert len({tuple(g) for g in group}) == len(group)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_smallest_free_sequences_pass_the_symmetry_rules(n):
+    # the lexicographically smallest free sequence of every length starts
+    # at an orbit minimum, and its first two terms are the smallest pair
+    # of their images under every g: the rules a pruned probe applies
+    for monoid in _symmetric_monoids(n):
+        engine = FreeSearch(monoid, SearchBudget())
+        if not engine._symmetric():
+            continue
+        length = 1
+        while engine.exists_free(length):
+            w = engine.witness(length)
+            assert engine._minima >> w[0] & 1, (length, w)
+            if length > 1:
+                assert engine._pair_terms(w[0]) >> w[1] & 1, (length, w)
+            for g in engine._group:
+                assert g[w[0]] >= w[0]
+                if length > 1:
+                    assert sorted((g[w[0]], g[w[1]])) >= [w[0], w[1]]
+            length += 1
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_symmetry_keeps_every_answer_and_never_adds_states(monkeypatch, n):
+    # the full gallop from length 1, with no theorem's help, on M(n) and on
+    # the units: with the group or without it, one value, witness and probe
+    # schedule, and never more states with it
+    f = factorize(n)
+    phi = len(_unit_monoid(n).labels) - 1
+    size, cap = _quotient_size(f)
+    searches = (
+        (size, lambda: _quotient_monoid(f), cap),
+        (phi + 1, lambda: _unit_monoid(n), phi - 1),
+    )
+    probes = []
+    real = FreeSearch.exists_free
+
+    def counted(self, r, prune=False):
+        probes.append(r)
+        return real(self, r, prune)
+
+    monkeypatch.setattr(FreeSearch, "exists_free", counted)
+    for size, build, cap in searches:
+        outcomes = []
+        for plain in (False, True):
+            probes.clear()
+            monoid = (lambda: build()._replace(symmetries=tuple)) if plain else build
+            found = longest_free(size, monoid, cap, 1, cap + 1, SearchBudget())
+            outcomes.append((found, list(probes)))
+        (pruned, pruned_probes), (plain, plain_probes) = outcomes
+        assert (pruned.value, pruned.witness) == (plain.value, plain.witness)
+        assert pruned_probes == plain_probes
+        assert pruned.states <= plain.states, (pruned.states, plain.states)
+
+
+def test_the_group_is_built_on_the_first_pruned_probe_only():
+    calls = []
+    M = _quotient_monoid(factorize(44))
+
+    def symmetries():
+        calls.append(1)
+        return M.symmetries()
+
+    engine = FreeSearch(M._replace(symmetries=symmetries), SearchBudget())
+    assert engine.exists_free(11) and engine.witness(11) and calls == []
+    assert not engine.exists_free(12, prune=True)
+    assert not engine.exists_free(12, prune=True) and calls == [1]
