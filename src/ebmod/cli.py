@@ -349,7 +349,8 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
         "--max-seconds",
         type=float,
         default=None,
-        help="wall-clock cap per exact search (default: none)",
+        help="wall-clock cap per exact search; an I(n) search gets what "
+        "its Davenport search left (default: none)",
     )
     p.add_argument(
         "--strict",

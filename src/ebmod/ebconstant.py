@@ -43,10 +43,13 @@ term of a free sequence by its label keeps the image, so keeps it free,
 and no term grows, so the sorted sequence does not grow either.  The
 smallest free sequence of a given length therefore uses labels only, and
 among those the engine's lexicographic order on indices is the order on
-labels.
+labels.  The probes that can refute run on a second engine, over M(n)
+in the search order of _search_order; they return verdicts only, which
+no order changes (Search order in the search docstring).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
@@ -114,7 +117,8 @@ def _quotient_monoid(f: Factorization) -> Monoid:
     its unit part u = r mod p^k when p does not divide r, else
     gcd(r, p^k) = p^min(v_p(r), k).  An element is idempotent when every
     component is the unit 1 or p^k.  Its symmetries are the power maps
-    of the components' unit parts (unitgroup.power_automorphisms)."""
+    of the components' unit parts (unitgroup.power_automorphisms), and
+    its search order is _search_order's."""
     n = f.n
     components = [(p, k) for p, k in f.factors if p ** k != 2]
     moduli = [(p, p ** k) for p, k in components]
@@ -132,9 +136,29 @@ def _quotient_monoid(f: Factorization) -> Monoid:
                 forbidden |= 1 << i
         index.append(i)
     keys = list(first)
-    return Monoid(
+    M = Monoid(
         n, labels, index, forbidden, range(len(labels)),
         lambda: power_automorphisms(components, keys),
+    )
+    units = [all(c % p for c, (p, _) in zip(key, moduli)) for key in keys]
+    return M._replace(order=lambda: _search_order(M, units))
+
+
+def _search_order(M: Monoid, units: list[bool]) -> list[int]:
+    """The elements of M(n) in the order its refuting probes run in: the
+    units first, then those with more leading usable powers b, b^2, ...
+    (each sub-product of a term taken j times), then by label.  An
+    element's powers are distinct up to the first idempotent, which is
+    forbidden, and some power of it is idempotent, so each count ends."""
+
+    def powers(b: int) -> int:
+        count, x = 0, b
+        while not M.forbidden >> x & 1:
+            count, x = count + 1, M.product(x, b)
+        return count
+
+    return sorted(
+        range(len(M.labels)), key=lambda b: (not units[b], -powers(b), b)
     )
 
 
@@ -168,9 +192,11 @@ def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
     construct_extremal as the witness.  Otherwise the search gallops
     from the floor to the strict-growth ceiling.  The size and ceiling
     of M(n) come from the factorization, so the size guards run before
-    its class map is built.  Idempotent classes are never candidate
-    terms (each is non-free on its own).
+    its class map is built, and its search gets only the seconds of
+    budget.max_seconds that the Davenport call left.  Idempotent classes
+    are never candidate terms (each is non-free on its own).
     """
+    start = time.monotonic()
     f = factorize(n)
     dav, dav_bounds = _davenport_or_bounds(n, budget)
     D = dav.value if dav is not None else None
@@ -183,7 +209,7 @@ def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
         cap,
         lower,
         lower if proved else cap + 1,
-        budget,
+        budget.left(start),
     )
     value, witness, bounds = found.value, None, found.bounds
     constructed = value is None and proved

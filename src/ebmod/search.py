@@ -11,11 +11,13 @@ them.  Residues appear at one boundary: a caller describes its monoid
 as residue classes mod n (a Monoid), element i labelled by the smallest
 residue of its class; the engine reads its size, product, forbidden
 mask and candidates, and longest_free reads the witness back through
-its labels.  Labels increase with the index, so the engine's
-lexicographically smallest sequence of elements is the smallest one of
-labels.  davenport_exact searches the units, eb_exact the quotient
-monoid M(n) of ebconstant; the identity labelling of Z/nZ itself is
-what the tests' independent search runs on.
+its labels.  On the engine whose witness is read, labels increase with
+the index, so its lexicographically smallest sequence of elements is
+the smallest one of labels; the refuting probes may run on a second
+engine in another order (Search order, below).  davenport_exact
+searches the units, eb_exact the quotient monoid M(n) of ebconstant;
+the identity labelling of Z/nZ itself is what the tests' independent
+search runs on.
 
 Key facts the engine leans on:
 
@@ -142,6 +144,41 @@ Key facts the engine leans on:
   length prune, which are the ones that can refute; the confirming probe
   and the witness walk try every term, so the witness cannot move.
 
+* Search order.  A probe's verdict does not depend on the order in which
+  the engine enumerates.  Rename the elements by a permutation pi,
+  element order[k] becoming k (Monoid.reindexed): pi carries products to
+  products, the forbidden mask onto the renamed one and the candidates
+  onto the renamed ones, so a multiset is free in one monoid exactly
+  when its image is free in the other, and a free sequence of length r
+  exists in one exactly when one exists in the other.  That existence is
+  all exists_free(r) reports, so its verdict is the same in every order
+  as long as the walk is exact in every order, that is, as long as each
+  fact above that compares indices holds in any total order of them.  It
+  does.  Canonical order: every multiset has exactly one nondecreasing
+  arrangement in any total order.  The allowed-set lemma and the
+  allowed-set bound speak of sets and products only, and the 8-element
+  chunks of the preimage tables only represent a set, whatever elements
+  share a chunk.  The power bound uses only that the terms of an
+  extension are >= the floor and that, summing from the largest index of
+  A down, the terms above the b it stops at are all among those scanned
+  before b; both hold in any total order.  The memo's floor rules use
+  only that the elements >= g include those >= f when g <= f, again true
+  in any total order, and an engine's memo is keyed on allowed sets in
+  its own indices, so no entry passes between engines.  Symmetry: for g
+  in G, pi g pi^-1 is an automorphism of the renamed monoid fixing its
+  forbidden mask and candidates, which is how Monoid.reindexed maps the
+  symmetries, and the argument above picks s* lexicographically smallest
+  in whatever order the indices have.  So the gallop's probes past the
+  confirmed length, the only ones that can refute, may run on an engine
+  over the monoid renamed in a search order the caller hands over
+  (Monoid.order), while the confirming probe and the witness walk stay
+  on the labelled engine, whose lexicographically smallest sequence is
+  the witness.  The order changes the cost only.  M(n)'s (ebconstant)
+  puts the units first, then elements with more leading usable powers,
+  then labels; it was chosen because it measured fewer states on every
+  refutation for n <= 66, about half in total, and no proof says it is
+  best.
+
 Probing order exploits the cost asymmetry: refuting length r costs
 roughly exponential in the slack cap - r, so longest_free gallops
 upward from a proven lower bound and pays one refutation, at the true
@@ -153,9 +190,11 @@ theorem's I(n)), one confirming probe is the whole search: it walks
 the lexicographically smallest path, which the witness then reads from
 the memo, and no refutation runs.
 
-longest_free is the one routine that builds and runs an engine, and the
+longest_free is the one routine that builds and runs engines, and the
 one place the size guards run: on the monoid's size and cap, before the
-monoid is built, so the engine it then hands that Monoid runs none.
+monoid is built, so the engines it then hands that Monoid, and its
+reindexed copy, run none.  Its engines draw on one state count and one
+deadline, so its budget bounds the whole call.
 Both davenport_exact and eb_exact take their value and witness, or the
 bracket the search proved when its budget ran out, from it.
 """
@@ -163,7 +202,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DomainError, InconsistencyError
@@ -179,8 +218,9 @@ _TIME_CHECK_PERIOD = 4096
 class SearchBudget:
     """Resource limits for one exact search.
 
-    max_states caps the memo table, one entry per distinct allowed set
-    explored (see the module docstring); blowing it raises
+    max_states caps the states of one longest_free call, one memo entry
+    per distinct allowed set an engine of it explores (see the module
+    docstring); blowing it raises
     BudgetExceeded, which callers convert into an honest undecided
     verdict.  max_seconds is wall-clock, checked coarsely.  Both must
     be >= 0; 0 and inf are legal, NaN is not.
@@ -195,13 +235,24 @@ class SearchBudget:
         if self.max_seconds is not None and not self.max_seconds >= 0:
             raise DomainError(f"max_seconds must be >= 0, got {self.max_seconds}")
 
+    def left(self, start: float) -> SearchBudget:
+        """This budget less the seconds spent since the time.monotonic()
+        reading start, for a search that follows others on one deadline."""
+        if self.max_seconds is None:
+            return self
+        spent = time.monotonic() - start
+        return replace(self, max_seconds=max(0.0, self.max_seconds - spent))
+
 
 class Monoid(NamedTuple):
     """A finite commutative monoid of residue classes mod n, as a caller
     hands it to longest_free.  Element i is the class whose smallest
-    residue is labels[i], and labels increase with i.  index maps each
-    residue that a product of two labels can take to its class, so when
-    taking classes is a homomorphism, product() is the monoid's product.
+    residue is labels[i].  Labels must increase with i only on the
+    engine whose witness longest_free reads, so that its smallest
+    sequence of indices is the smallest one of labels; a reindexed copy
+    need not keep that order.  index maps each residue that a product
+    of two labels can take to its class, so when taking classes is a
+    homomorphism, product() is the monoid's product.
     forbidden masks the forbidden elements; candidates lists the
     elements a sequence may use (the engine drops the forbidden ones),
     and a product of two of them must be one of them or forbidden, and
@@ -210,7 +261,11 @@ class Monoid(NamedTuple):
     automorphisms of the monoid as index permutations, each fixing the
     forbidden mask and the candidates, for the engine's refuting probes
     (Symmetry in the module docstring); the engine calls it on its first
-    such probe only, and the default lists none."""
+    such probe only, and the default lists none.  order() lists the
+    elements in the search order of those probes, order()[k] becoming
+    element k of the engine they run on (Search order in the module
+    docstring); it too is called on the first such probe, and the
+    default lists none, so the probes run on the witness's engine."""
 
     n: int
     labels: Sequence[int]
@@ -218,9 +273,27 @@ class Monoid(NamedTuple):
     forbidden: int
     candidates: Iterable[int]
     symmetries: Callable[[], Iterable[Sequence[int]]] = tuple
+    order: Callable[[], Sequence[int]] = tuple
 
     def product(self, i: int, j: int) -> int:
         return self.index[self.labels[i] * self.labels[j] % self.n]
+
+    def reindexed(self, order: Sequence[int]) -> Monoid:
+        """This monoid with element order[k] renamed k: its products,
+        forbidden mask, candidates and symmetries mapped through the
+        renaming, and no search order of its own."""
+        pos = [0] * len(order)
+        for k, i in enumerate(order):
+            pos[i] = k
+        symmetries = self.symmetries
+        return Monoid(
+            self.n,
+            [self.labels[i] for i in order],
+            [pos[i] for i in self.index],
+            sum(1 << pos[i] for i in order if self.forbidden >> i & 1),
+            [pos[i] for i in self.candidates],
+            lambda: [[pos[g[i]] for i in order] for g in symmetries()],
+        )
 
 
 def _check_size(size: int, cap: int) -> None:
@@ -229,7 +302,10 @@ def _check_size(size: int, cap: int) -> None:
     read these two numbers only, so they run before any O(size) work."""
     if cap >= 1 << _LO_SHIFT:
         raise BudgetExceeded(f"state space of a {size}-element monoid is out of reach")
-    # At most one table per candidate.  A cell is an 8-byte list slot
+    # At most one table per candidate, and of longest_free's two engines
+    # only one holds tables at a time: FreeSearch.refuter drops the first
+    # engine's for the second, which is dropped before the first one's
+    # witness walk rebuilds its own.  A cell is an 8-byte list slot
     # holding a set of preimages, a size-bit int of 24 + 4*ceil(size/30)
     # bytes, so the 2^23 cells admitted take at most 2^23 * (32 +
     # 4*ceil(size/30)) bytes: 0.8 GiB at size 512, the largest that
@@ -248,6 +324,32 @@ def _check_size(size: int, cap: int) -> None:
         raise BudgetExceeded(f"search depth {cap} exceeds the recursion limit")
 
 
+class _Meter:
+    """The state count and deadline of one search, which every engine of
+    a longest_free call draws on, so that its budget bounds the call."""
+
+    def __init__(self, budget: SearchBudget):
+        self.budget = budget
+        self.states = 0
+        self.deadline = (
+            time.monotonic() + budget.max_seconds
+            if budget.max_seconds is not None
+            else None
+        )
+
+    def tick(self) -> None:
+        self.states += 1
+        if self.states > self.budget.max_states:
+            raise BudgetExceeded(
+                f"memo table exceeded {self.budget.max_states} states"
+            )
+        if self.deadline is not None and self.states % _TIME_CHECK_PERIOD == 0:
+            if time.monotonic() > self.deadline:
+                raise BudgetExceeded(
+                    f"search exceeded {self.budget.max_seconds} seconds"
+                )
+
+
 class FreeSearch:
     """Maximum free-sequence length over the candidates of `monoid`
     avoiding its forbidden mask, with lexicographically-smallest
@@ -257,9 +359,13 @@ class FreeSearch:
     candidate's preimage table is built on the first child it makes,
     and an element's powers on the first power bound that reads them,
     so a walk that tries few candidates builds few of either; the
-    monoid's symmetries are read on the first pruned probe."""
+    monoid's symmetries are read on the first pruned probe.  An engine
+    made with another's meter draws on its state count and deadline."""
 
-    def __init__(self, monoid: Monoid, budget: SearchBudget):
+    def __init__(
+        self, monoid: Monoid, budget: SearchBudget, meter: _Meter | None = None
+    ):
+        self._monoid = monoid
         self.size = size = len(monoid.labels)
         self.product = monoid.product
         self.forbidden = forbidden = monoid.forbidden
@@ -273,12 +379,7 @@ class FreeSearch:
         # _above[f]: the usable elements >= f, for every floor f
         self._above = [usable >> f << f for f in range(size + 1)]
         self._memo: dict[int, int] = {}
-        self._states = 0
-        self._deadline = (
-            time.monotonic() + budget.max_seconds
-            if budget.max_seconds is not None
-            else None
-        )
+        self._meter = meter or _Meter(budget)
         self._tables: list[list[int] | None] = [None] * size
         self._powers: list[list[int] | None] = [None] * size
         # the automorphisms, the first terms they leave and, per first
@@ -347,16 +448,7 @@ class FreeSearch:
         return 0
 
     def _tick(self) -> None:
-        self._states += 1
-        if self._states > self.budget.max_states:
-            raise BudgetExceeded(
-                f"memo table exceeded {self.budget.max_states} states"
-            )
-        if self._deadline is not None and self._states % _TIME_CHECK_PERIOD == 0:
-            if time.monotonic() > self._deadline:
-                raise BudgetExceeded(
-                    f"search exceeded {self.budget.max_seconds} seconds"
-                )
+        self._meter.tick()
 
     def _next(self, A: int, terms: int, r: int) -> tuple[int, int] | None:
         """(a, T) for the smallest term a in the mask `terms` whose child,
@@ -477,9 +569,23 @@ class FreeSearch:
             terms.append(floor)
         return tuple(terms)
 
+    def refuter(self) -> FreeSearch:
+        """The engine for the probes past the confirmed length: this one
+        when the monoid hands over no search order, else one over the
+        monoid reindexed in that order, drawing on this engine's state
+        count and deadline.  This engine's preimage tables are dropped
+        for it, and rebuilt as its witness walk needs them, so the two
+        never hold tables at once (see _check_size)."""
+        order = self._monoid.order()
+        if not order:
+            return self
+        self._tables = [None] * self.size
+        return FreeSearch(self._monoid.reindexed(order), self.budget, self._meter)
+
     @property
     def states_used(self) -> int:
-        return self._states
+        """States counted by every engine drawing on this one's count."""
+        return self._meter.states
 
 
 class Longest(NamedTuple):
@@ -510,11 +616,12 @@ def longest_free(
     the value: one probe confirms floor - 1, and the gallop then probes
     upward while the next length is below ceiling, so floor == ceiling
     runs no refutation (cap bounds every free length, so ceiling = cap +
-    1 proves nothing more).  The gallop's probes prune by the monoid's
-    symmetries; the confirming probe and the witness walk do not.  A
-    budget that runs out leaves the bracket [length + 1, ceiling],
-    length being the longest the search confirmed (floor - 1 before the
-    first probe)."""
+    1 proves nothing more).  The gallop's probes run on
+    FreeSearch.refuter, in the monoid's search order, and prune by its
+    symmetries; the confirming probe and the witness walk do neither.
+    The engines share one state count and deadline.  A budget that runs
+    out leaves the bracket [length + 1, ceiling], length being the
+    longest the search confirmed (floor - 1 before the first probe)."""
     engine = None
     length = floor - 1
     try:
@@ -525,8 +632,13 @@ def longest_free(
             raise InconsistencyError(
                 f"claimed lower bound {length} refuted for n={M.n}"
             )
-        while length + 1 < ceiling and engine.exists_free(length + 1, prune=True):
+        refuter = None
+        while length + 1 < ceiling:
+            refuter = refuter or engine.refuter()
+            if not refuter.exists_free(length + 1, prune=True):
+                break
             length += 1
+        del refuter  # its tables go before the witness walk builds its own
         witness = tuple(M.labels[i] for i in engine.witness(length))
     except BudgetExceeded as exc:
         states = engine.states_used if engine is not None else 0

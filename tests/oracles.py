@@ -202,9 +202,10 @@ def shape_order_multiset(invariant_factors) -> list[int]:
 
 def residue_monoid(n: int, forbidden: int, candidates):
     """Z/nZ itself for the package's engine: the identity labelling,
-    every residue its own element.  It lists no symmetries, so its
-    searches try every term and stay independent of the automorphisms
-    that prune M(n) and the units."""
+    every residue its own element.  It lists no symmetries and no search
+    order, so its searches try every term, on one engine in residue
+    order, and stay independent of the automorphisms that prune M(n)
+    and the units and of the order M(n)'s refutations run in."""
     from ebmod.search import Monoid
 
     return Monoid(n, range(n), range(n), forbidden, candidates)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -245,12 +246,14 @@ def test_tiny_budget_brackets_contain_brute_values(monkeypatch, max_states):
             assert r.value == brute_eb(n)
 
 
-@pytest.mark.parametrize("n, max_states", ((8, 2), (10, 1), (12, 7)))
+@pytest.mark.parametrize("n, max_states", ((8, 6), (10, 1), (12, 5)))
 def test_undecided_bracket_uses_lengths_the_search_proved(monkeypatch, n, max_states):
     # With the Davenport floor weakened to 1, the bracket's low end can
     # only come from the free lengths the I(n) search proved before its
-    # budget ran out.  The budgets bind in M(n): that search takes 3
-    # states in M(8), 2 in M(10) = Z/5Z and 8 in M(12).
+    # budget ran out.  The budgets bind in M(n): that search takes 7
+    # states in M(8), 3 in M(10) = Z/5Z and 6 in M(12), counted over its
+    # two engines, since the gallop's probes run on a fresh engine in the
+    # search order and the witness walk then pays on the labelled one.
     monkeypatch.setattr(
         ebc_mod, "_davenport_or_bounds", lambda m, budget: (None, (1, m))
     )
@@ -273,9 +276,9 @@ def _engine_masks(monkeypatch) -> list[int]:
     masks = []
     real_init = FreeSearch.__init__
 
-    def counting_init(self, monoid, budget):
+    def counting_init(self, monoid, *args):
         masks.append(monoid.forbidden)
-        real_init(self, monoid, budget)
+        real_init(self, monoid, *args)
 
     monkeypatch.setattr(FreeSearch, "__init__", counting_init)
     return masks
@@ -287,7 +290,22 @@ def test_verify_theorem_runs_one_davenport_search(monkeypatch):
     masks = _engine_masks(monkeypatch)
     rep = verify_theorem(168, SearchBudget(max_states=500))
     assert (rep.davenport, rep.davenport_bounds) == (None, (9, 48))
-    assert sorted(masks) == [1 << 1, _quotient_monoid(factorize(168)).forbidden]
+    # one Davenport engine, and M(168)'s, with its refuting engine in the
+    # search order when the confirming probe got that far
+    M = _quotient_monoid(factorize(168))
+    assert masks.count(1 << 1) == 1 and masks[1] == M.forbidden
+    assert masks[2:] in ([], [M.reindexed(M.order()).forbidden])
+
+
+def test_the_i_search_gets_the_seconds_the_davenport_search_left():
+    # D((Z/195Z)^x) has no theorem here and runs out at the deadline; the
+    # M(195) search then has no seconds left and stops at its first
+    # deadline check, so the call takes about max_seconds, not twice it
+    budget = SearchBudget(max_seconds=2)
+    start = time.monotonic()
+    r = eb_exact(195, budget)
+    assert r.status == STATUS_UNDECIDED and r.davenport_bounds == (16, 96)
+    assert time.monotonic() - start < 1.5 * budget.max_seconds
 
 
 def test_a_proved_class_row_stays_undecided_when_d_does():

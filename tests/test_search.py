@@ -13,6 +13,7 @@ import itertools
 import random
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -731,3 +732,146 @@ def test_the_group_is_built_on_the_first_pruned_probe_only():
     assert engine.exists_free(11) and engine.witness(11) and calls == []
     assert not engine.exists_free(12, prune=True)
     assert not engine.exists_free(12, prune=True) and calls == [1]
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_the_search_order_reindexes_an_isomorphic_monoid(n):
+    # M(n) renamed by its search order, element order[k] becoming k, has
+    # the products, forbidden mask, candidates and symmetries of M(n),
+    # each mapped through the renaming, and no order of its own; the
+    # order puts the units first, then more leading usable powers, then
+    # smaller labels.  The units hand over no order
+    M = _quotient_monoid(factorize(n))
+    size = len(M.labels)
+    order = M.order()
+    assert sorted(order) == list(range(size))
+    R = M.reindexed(order)
+    assert R.order() == () and _unit_monoid(n).order() == ()
+    assert [R.labels[k] for k in range(size)] == [M.labels[i] for i in order]
+    assert all(order[R.index[r]] == M.index[r] for r in range(n))
+    for k in range(size):
+        assert (R.forbidden >> k & 1) == (M.forbidden >> order[k] & 1)
+        for j in range(size):
+            assert order[R.product(k, j)] == M.product(order[k], order[j])
+    assert sorted(order[k] for k in R.candidates) == sorted(M.candidates)
+    group, renamed = list(M.symmetries()), list(R.symmetries())
+    assert len(renamed) == len(group)
+    for g, h in zip(group, renamed):
+        assert all(order[h[k]] == g[order[k]] for k in range(size))
+
+    def powers(b):
+        count, x = 0, b
+        while not M.forbidden >> x & 1:
+            count, x = count + 1, M.product(x, b)
+        return count
+
+    # a class is a unit of M(n) when it is one mod n, the Z/2 component
+    # that M(n) drops aside
+    m = n // 2 if n % 4 == 2 else n
+    keys = [(gcd(M.labels[b], m) != 1, -powers(b), M.labels[b]) for b in order]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_the_search_order_keeps_every_answer(probes, n):
+    # the full gallop over M(n) from length 1, with no theorem's help, and
+    # from the floor eb_exact takes: one value, witness, bracket and probe
+    # schedule with the order and without it
+    f = factorize(n)
+    size, cap = _quotient_size(f)
+    lower = davenport_exact(n).value + f.big_omega - f.omega
+    builds = (
+        lambda: _quotient_monoid(f),
+        lambda: _quotient_monoid(f)._replace(order=tuple),
+    )
+    for floor in (1, lower):
+        outcomes = []
+        for build in builds:
+            probes.clear()
+            found = longest_free(size, build, cap, floor, cap + 1, SearchBudget())
+            outcomes.append((found[:4], list(probes)))
+        assert outcomes[0] == outcomes[1], (floor, outcomes)
+
+
+def test_the_search_order_never_adds_refuting_states():
+    # the probe that refutes I(n) at D + Omega - omega, on a fresh engine
+    # over M(n) and over M(n) in its search order, for every n <= 60
+    # outside the proved classes whose strict-growth cap does not already
+    # settle it: never more states with the order, and far fewer in all
+    totals = [0, 0]
+    for n in range(2, 61):
+        f = factorize(n)
+        size, cap = _quotient_size(f)
+        lower = davenport_exact(n).value + f.big_omega - f.omega
+        if f.omega == 1 or f.is_squarefree or lower > cap:
+            continue
+        M = _quotient_monoid(f)
+        states = []
+        for monoid in (M, M.reindexed(M.order())):
+            engine = FreeSearch(monoid, SearchBudget())
+            assert not engine.exists_free(lower, prune=True)
+            states.append(engine.states_used)
+        assert states[1] <= states[0], (n, states)
+        totals = [t + s for t, s in zip(totals, states)]
+    assert 3 * totals[1] < 2 * totals[0], totals
+
+
+@pytest.mark.parametrize("n", (8, 12, 20, 28))
+def test_a_budget_bounds_both_engines_together(monkeypatch, n):
+    # every k below the whole search's count runs out with k states
+    # stored over the labelled engine and the refuting one together, and
+    # the count stops at the state that exceeded k
+    f = factorize(n)
+    size, cap = _quotient_size(f)
+    engines = []
+    real_init = FreeSearch.__init__
+
+    def collected(self, *args):
+        engines.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(FreeSearch, "__init__", collected)
+
+    def gallop(budget):
+        return longest_free(size, lambda: _quotient_monoid(f), cap, 1, cap + 1, budget)
+
+    whole = gallop(SearchBudget())
+    assert len(engines) == 2 and whole.value is not None
+    for k in range(whole.states):
+        engines.clear()
+        found = gallop(SearchBudget(max_states=k))
+        assert found.value is None and found.states == k + 1, (k, found)
+        assert sum(len(e._memo) for e in engines) <= k, k
+
+
+def test_the_refuting_engine_draws_on_one_count_and_deadline(monkeypatch):
+    # the engine in the search order counts on from the labelled engine's
+    # states and stops at its deadline, not at one of its own
+    now = [0.0]
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(search, "_TIME_CHECK_PERIOD", 1)
+    engine = FreeSearch(_quotient_monoid(factorize(44)), SearchBudget(max_seconds=10))
+    assert engine.exists_free(11)
+    confirmed = engine.states_used
+    now[0] = 9.0
+    refuter = engine.refuter()
+    assert refuter is not engine and refuter.states_used == confirmed > 0
+    now[0] = 11.0
+    with pytest.raises(BudgetExceeded, match="10 seconds"):
+        refuter.exists_free(12, prune=True)
+    assert engine.states_used == refuter.states_used == confirmed + 1
+
+
+def test_the_order_is_read_on_the_first_refuting_probe_only():
+    calls = []
+    f = factorize(44)
+    size, cap = _quotient_size(f)
+
+    def build():
+        M = _quotient_monoid(f)
+        return M._replace(order=lambda: calls.append(1) or M.order())
+
+    found = longest_free(size, build, cap, 12, 12, SearchBudget())
+    assert found.value == 12 and calls == []
+    found = longest_free(size, build, cap, 11, cap + 1, SearchBudget())
+    assert found.value == 12 and calls == [1]
