@@ -14,7 +14,7 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import DomainError, InconsistencyError
@@ -22,6 +22,11 @@ from .errors import DomainError, InconsistencyError
 # Declared input bound for factorize: trial division to sqrt(n) stays
 # comfortable on a desk machine up to here.
 MAX_N = 10**12
+
+# Moduli factorize remembers, least recently used dropped first: a scan
+# row asks for n, phi of its prime-power components and the orders of
+# their generators, and an extractor stream for its few moduli each call.
+_FACTORIZE_MEMO = 256
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -84,12 +89,15 @@ class Factorization:
         )
 
 
+@lru_cache(maxsize=_FACTORIZE_MEMO)
 def factorize(n: int) -> Factorization:
     """Prime-power decomposition of n.
 
     Trial division over a mod-30 wheel; once the remaining cofactor
     passes Miller-Rabin the loop stops, so large prime cofactors cost
-    nothing.  Every reported prime is re-certified.
+    nothing.  Every reported prime is re-certified.  Results are
+    memoized for the last _FACTORIZE_MEMO moduli, so a repeated n gets
+    the same frozen Factorization back; errors are raised afresh.
     """
     if n < 2:
         raise DomainError(f"factorize requires n >= 2, got {n}")

@@ -292,14 +292,14 @@ def extract_witness_prime_power(
     p, k = f.factors[0]
     t1 = [a for a in T if a % p == 0]
     if len(t1) >= k:
-        W = ResidueSequence(n, t1[:k])  # canonical order: k smallest
+        W = ResidueSequence._canonical(n, t1[:k])  # the k smallest
     else:
         t2 = [a for a in T if a % p != 0]
         if len(t2) < D:
             raise InconsistencyError(
                 f"pigeonhole failed: |T1|={len(t1)} < {k}, |T2|={len(t2)} < {D}"
             )
-        W = find_product_one_subsequence(ResidueSequence(n, t2))
+        W = find_product_one_subsequence(ResidueSequence._canonical(n, t2))
         if W is None:
             raise InconsistencyError(
                 f"no product-one subsequence in {len(t2)} >= D unit terms mod {n}"
@@ -326,7 +326,7 @@ def extract_witness_squarefree(
         raise InconsistencyError(
             f"no product-one sub-multiset among {len(T)} >= D lifted units mod {n}"
         )
-    W = ResidueSequence(n, [orig for orig, _ in picked])
+    W = ResidueSequence._canonical(n, [orig for orig, _ in picked])
     certify.idempotent_product(W)
     return W
 

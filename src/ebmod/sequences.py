@@ -16,9 +16,11 @@ per-candidate image tables and never calls it.  The product-one DP
 behind find_product_one_subsequence and the extractors works on units
 alone, so its masks are phi(n) bits wide, indexed by the exponent
 vectors of unitgroup.log_index.  Its cost follows the length of its
-answer: level 1 costs L lookups for L terms, the translations that
-multiply a mask by a unit are built only from level 2 on, and the last
-level stops at the first suffix whose products hold the identity.
+answer: a term equal to 1 is the answer on its own, returned before the
+DP builds the index or any level; otherwise level 1 costs L lookups for
+L terms, the translations that multiply a mask by a unit are built only
+from level 2 on, and the last level stops at the first suffix whose
+products hold the identity.
 
 The empty product is deliberately NOT 1 here: pi() of the empty sequence
 is a domain error, so "nonempty subsequence" is enforced by types rather
@@ -42,6 +44,15 @@ class ResidueSequence:
             raise DomainError(f"modulus must be >= 2, got {n}")
         self.n = n
         self._terms = tuple(sorted(t % n for t in terms))
+
+    @classmethod
+    def _canonical(cls, n: int, terms) -> ResidueSequence:
+        """Sequence of terms already reduced mod n and sorted, kept as
+        they are: a sub-list of another sequence's terms, in its order."""
+        T = cls.__new__(cls)
+        T.n = n
+        T._terms = tuple(terms)
+        return T
 
     def as_tuple(self) -> tuple[int, ...]:
         return self._terms
@@ -154,20 +165,24 @@ def _min_product_one_pick(pairs, n: int):
     minimizing length first, then lexicographic order of the sort keys,
     or None when no nonempty selection has unit product 1.
 
-    Level j of the table holds, per suffix start, the set of products
-    achievable by choosing exactly j of the remaining units, as a
-    phi(n)-bit mask over the exponent vectors of unitgroup.log_index
-    (the identity is bit 0).  Level 1 is the suffix union of the units'
-    own bits, L lookups.  From level 2 on, multiplying a set by a unit
-    translates it, one shift pair per invariant factor, so the move
-    table is built only when level 1 misses the identity, and each
-    further level costs O(L * rank) shifts of phi(n)-bit masks.  The
-    walk back reads levels below the answer's only, so the last level
-    stops at the first start whose suffix union holds the identity and
-    is never stored.
+    A unit equal to 1 is an answer of length one, and the first such
+    pair the lex-smallest: it is returned at once, before
+    unitgroup.log_index is called or any level built.  Otherwise level j
+    of the table holds, per suffix start, the set of products achievable
+    by choosing exactly j of the remaining units, as a phi(n)-bit mask
+    over the exponent vectors of unitgroup.log_index (the identity is
+    bit 0).  Level 1 is the suffix union of the units' own bits, L
+    lookups, and misses the identity.  From level 2 on, multiplying a
+    set by a unit translates it, one shift pair per invariant factor, and
+    each level costs O(L * rank) shifts of phi(n)-bit masks.  The walk
+    back reads levels below the answer's only, so the last level stops
+    at the first start whose suffix union holds the identity and is
+    never stored.
     """
     L = len(pairs)
     values = [v for _, v in pairs]
+    if 1 in values:
+        return [pairs[values.index(1)]]
     index, orders = log_index(n)
     phi = len(index)
     full = (1 << phi) - 1
@@ -175,10 +190,8 @@ def _min_product_one_pick(pairs, n: int):
     cur, acc = [0] * (L + 1), 0
     for start in range(L - 1, -1, -1):  # j = 1: each unit on its own
         acc |= 1 << index[values[start]]
-        if acc & 1:
-            break
         cur[start] = acc
-    moves = None if acc & 1 else _translations(values, index, orders)
+    moves = _translations(values, index, orders)
     j = 1
     while not acc & 1:
         if j >= L:
@@ -233,14 +246,14 @@ def find_product_one_subsequence(T: ResidueSequence):
     """
     n = T.n
     index, _ = log_index(n)
-    for a in T:
-        if a not in index:
-            raise DomainError(f"term {a} is not coprime to {n}")
-    pairs = [(a, a) for a in T]
-    picked = _min_product_one_pick(pairs, n)
+    terms = T.as_tuple()
+    if not all(map(index.__contains__, terms)):
+        a = next(a for a in terms if a not in index)
+        raise DomainError(f"term {a} is not coprime to {n}")
+    picked = _min_product_one_pick(list(zip(terms, terms)), n)
     if picked is None:
         return None
-    return ResidueSequence(n, [v for _, v in picked])
+    return ResidueSequence._canonical(n, [v for _, v in picked])
 
 
 def parse_sequence_literal(text: str, n: int, reduce: bool = False) -> ResidueSequence:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from ebmod.arith import (
+    _FACTORIZE_MEMO,
     MAX_N,
     Factorization,
     crt_combine,
@@ -51,11 +52,24 @@ def test_factorize_summary():
 
 
 def test_factorize_domain_errors():
-    for bad in (1, 0, -5):
-        with pytest.raises(DomainError):
-            factorize(bad)
-    with pytest.raises(DomainError):
-        factorize(MAX_N + 1)
+    # raised on every call: the memo keeps no error
+    for bad in (1, 0, -5, MAX_N + 1):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                factorize(bad)
+
+
+def test_factorize_memo_is_bounded_and_matches_the_bare_function():
+    assert factorize(360) is factorize(360)
+    assert factorize(999_999_999_989) is factorize(999_999_999_989)
+    assert factorize.cache_info().maxsize == _FACTORIZE_MEMO
+    for n in range(2, 2000):
+        got, want = factorize(n), factorize.__wrapped__(n)
+        assert got == want and got is not want
+        assert (got.is_squarefree, got.omega, got.big_omega) == (
+            want.is_squarefree, want.omega, want.big_omega
+        )
+    assert factorize.cache_info().currsize <= _FACTORIZE_MEMO
 
 
 def test_factorize_large_semiprime():

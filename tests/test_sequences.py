@@ -8,6 +8,7 @@ import pytest
 from ebmod.arith import factorize, lift_to_unit
 from ebmod.davenport import davenport_exact
 from ebmod.errors import DomainError
+from ebmod.unitgroup import log_index
 from ebmod.sequences import (
     ResidueSequence,
     _min_product_one_pick,
@@ -95,6 +96,16 @@ def test_find_product_one_examples():
 def test_find_product_one_rejects_non_units():
     with pytest.raises(DomainError):
         find_product_one_subsequence(ResidueSequence(6, (2, 5)))
+    # the error names the first non-unit in canonical order
+    with pytest.raises(DomainError, match="term 3 is not coprime to 15"):
+        find_product_one_subsequence(ResidueSequence(15, (7, 1, 6, 3, 4)))
+
+
+def test_canonical_constructor_keeps_a_sorted_sub_list():
+    T = ResidueSequence(30, (29, -1, 12, 0, 45))
+    for sub in (T.as_tuple(), T.as_tuple()[1:4], T.as_tuple()[::2], ()):
+        W = ResidueSequence._canonical(30, sub)
+        assert W == ResidueSequence(30, sub) and W.as_tuple() == tuple(sub)
 
 
 def test_find_product_one_minimizes_length_then_lex():
@@ -175,6 +186,14 @@ def test_product_one_dp_answers_at_level_one_wherever_the_identity_sits(n):
             got = _min_product_one_pick(pairs, n)
             assert got == bitscan_product_one_pick(pairs, n)
             assert got == [(ones[0], 1)]
+
+
+def test_product_one_dp_answers_one_term_without_the_unit_index():
+    # a prime modulus no other test reaches: building its unit index
+    # would show as a miss
+    before = log_index.cache_info()
+    assert _min_product_one_pick([(1, 1), (2, 2)], 100003) == [(1, 1)]
+    assert log_index.cache_info() == before
 
 
 @pytest.mark.parametrize("n", EARLY_EXIT_MODULI)
