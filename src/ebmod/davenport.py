@@ -109,8 +109,8 @@ def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportR
     bad(S) = S^-1, the inverses of the product set.
 
     In a theorem's class the search gets the bracket [formula, formula],
-    so its one probe walks the lexicographically smallest witness and
-    no refutation runs; when that walk runs out of budget, the classical
+    so it only walks the lexicographically smallest witness and no
+    probe runs; when that walk runs out of budget, the classical
     sequence is the witness.  Raises UndecidedError with bounds (lo, hi)
     when a search outside the classes runs out first, or when the
     engine's size guards refuse to search at all; both endpoints are

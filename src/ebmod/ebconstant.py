@@ -43,9 +43,10 @@ term of a free sequence by its label keeps the image, so keeps it free,
 and no term grows, so the sorted sequence does not grow either.  The
 smallest free sequence of a given length therefore uses labels only, and
 among those the engine's lexicographic order on indices is the order on
-labels.  The probes that can refute run on a second engine, over M(n)
-in the search order of _search_order; they return verdicts only, which
-no order changes (Search order in the search docstring).
+labels.  The gallop's probes run on an engine over M(n) in the search
+order of _search_order; they return verdicts only, which no order
+changes (Search order in the search docstring), and the witness walk
+runs on a second engine in label order.
 """
 from __future__ import annotations
 
@@ -82,8 +83,9 @@ class EBResult:
     davenport is D((Z/nZ)^x) when the Davenport side is decided, else
     None and davenport_bounds carries its certified bracket; lower_bound
     is D + Omega - omega when D is decided, else None.  constructed
-    marks a proved-class value whose search returned none, so the
-    theorem gives the value and the extremal construction the witness.
+    marks a value pinned at that floor, by the theorem or by a probe
+    refuting free length lower_bound, whose witness walk ran out or was
+    refused, so the extremal construction is the witness.
     """
 
     n: int
@@ -190,11 +192,14 @@ def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
     raises InconsistencyError.  When that walk runs out of budget, or
     the engine's size guards refuse it, the theorem's value stands with
     construct_extremal as the witness.  Otherwise the search gallops
-    from the floor to the strict-growth ceiling.  The size and ceiling
-    of M(n) come from the factorization, so the size guards run before
-    its class map is built, and its search gets only the seconds of
-    budget.max_seconds that the Davenport call left.  Idempotent classes
-    are never candidate terms (each is non-free on its own).
+    from the floor to the strict-growth ceiling; when its first probe
+    refutes length lower_bound, that pins the value at the floor too,
+    and a witness walk that then runs out leaves it standing with the
+    same witness.  The size and ceiling of M(n) come from the
+    factorization, so the size guards run before its class map is
+    built, and its search gets only the seconds of budget.max_seconds
+    that the Davenport call left.  Idempotent classes are never
+    candidate terms (each is non-free on its own).
     """
     start = time.monotonic()
     f = factorize(n)
@@ -212,7 +217,8 @@ def eb_exact(n: int, budget: SearchBudget = SearchBudget()) -> EBResult:
         budget.left(start),
     )
     value, witness, bounds = found.value, None, found.bounds
-    constructed = value is None and proved
+    # a theorem, or a refutation at the floor, pins the value at the floor
+    constructed = value is None and D is not None and bounds == (lower, lower)
     if constructed:
         # construct_extremal certifies its own freeness at this length
         value, witness, bounds = lower, construct_extremal(n, budget), None
@@ -290,15 +296,17 @@ def extract_witness_prime_power(
     """
     f, D = _at_threshold(T, n, budget, squarefree=False)
     p, k = f.factors[0]
-    t1 = [a for a in T if a % p == 0]
+    t1: list[int] = []
+    t2: list[int] = []
+    for a in T:
+        (t2 if a % p else t1).append(a)
     if len(t1) >= k:
         W = ResidueSequence._canonical(n, t1[:k])  # the k smallest
+    elif len(t2) < D:
+        raise InconsistencyError(
+            f"pigeonhole failed: |T1|={len(t1)} < {k}, |T2|={len(t2)} < {D}"
+        )
     else:
-        t2 = [a for a in T if a % p != 0]
-        if len(t2) < D:
-            raise InconsistencyError(
-                f"pigeonhole failed: |T1|={len(t1)} < {k}, |T2|={len(t2)} < {D}"
-            )
         W = find_product_one_subsequence(ResidueSequence._canonical(n, t2))
         if W is None:
             raise InconsistencyError(
@@ -410,6 +418,8 @@ def verify_theorem(n: int, budget: SearchBudget = SearchBudget()) -> TheoremRepo
             status, note = SCAN_UNDECIDED, "davenport undecided"
     elif eb.value is not None and D is not None:
         status = SCAN_CONJECTURE_VERIFIED if eb.value == lower else SCAN_COUNTEREXAMPLE
+        if eb.constructed:
+            note = "witness walk hit budget; witness is the construction"
     else:
         status = SCAN_UNDECIDED
         note = "davenport undecided" if D is None else "eb search undecided"

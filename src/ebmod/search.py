@@ -13,8 +13,8 @@ residue of its class; the engine reads its size, product, forbidden
 mask and candidates, and longest_free reads the witness back through
 its labels.  On the engine whose witness is read, labels increase with
 the index, so its lexicographically smallest sequence of elements is
-the smallest one of labels; the refuting probes may run on a second
-engine in another order (Search order, below).  davenport_exact
+the smallest one of labels; the probes may run on a second engine in
+another order (Search order, below).  davenport_exact
 searches the units, eb_exact the quotient monoid M(n) of ebconstant;
 the identity labelling of Z/nZ itself is what the tests' independent
 search runs on.
@@ -120,7 +120,7 @@ Key facts the engine leans on:
   with that allowed set, so a hit changes no verdict, and with it no
   probe, witness or order of the walk.  FreeSearch._next, the one walk,
   reads the entry of each child where it builds it, and the probes and
-  the witness reconstruction share the memo.
+  a witness walk on one engine share its memo.
 
 * Symmetry.  Let G be a set of automorphisms of the monoid that fix the
   forbidden mask and the candidates, as Monoid.symmetries lists them.
@@ -140,9 +140,9 @@ Key facts the engine leans on:
   extensions it keeps.  A root child's verdict in such a probe then
   depends on its first term, so the child is neither read from the memo
   nor written to it; states at depth >= 2 try every next term, so their
-  entries stay exact.  Only the gallop's probes past the confirmed
-  length prune, which are the ones that can refute; the confirming probe
-  and the witness walk try every term, so the witness cannot move.
+  entries stay exact.  Every probe prunes; the witness walk tries every
+  term and reads from a probe's memo only those exact entries, so the
+  witness cannot move.
 
 * Search order.  A probe's verdict does not depend on the order in which
   the engine enumerates.  Rename the elements by a permutation pi,
@@ -168,27 +168,27 @@ Key facts the engine leans on:
   in G, pi g pi^-1 is an automorphism of the renamed monoid fixing its
   forbidden mask and candidates, which is how Monoid.reindexed maps the
   symmetries, and the argument above picks s* lexicographically smallest
-  in whatever order the indices have.  So the gallop's probes past the
-  confirmed length, the only ones that can refute, may run on an engine
-  over the monoid renamed in a search order the caller hands over
-  (Monoid.order), while the confirming probe and the witness walk stay
-  on the labelled engine, whose lexicographically smallest sequence is
-  the witness.  The order changes the cost only.  M(n)'s (ebconstant)
-  puts the units first, then elements with more leading usable powers,
-  then labels; it was chosen because it measured fewer states on every
-  refutation for n <= 66, about half in total, and no proof says it is
-  best.
+  in whatever order the indices have.  So the gallop's probes may run
+  on an engine over the monoid renamed in a search order the caller
+  hands over (Monoid.order), while the witness walk runs on an engine in
+  label order, whose lexicographically smallest sequence is the witness.
+  The order changes the cost only.  M(n)'s (ebconstant) puts the units
+  first, then elements with more leading usable powers, then labels; it
+  was chosen because it measured fewer states on every refutation for
+  n <= 66, about half in total, and no proof says it is best.
 
 Probing order exploits the cost asymmetry: refuting length r costs
 roughly exponential in the slack cap - r, so longest_free gallops
 upward from a proven lower bound and pays one refutation, at the true
 answer + 1 (the cheapest possible), or none when the answer reaches a
 proven upper bound.  That bound is cap unless the caller proves a lower
-ceiling (a theorem's value), and the gallop never probes past it.  When
-the lower bound already equals the upper one (a theorem's D or a
-theorem's I(n)), one confirming probe is the whole search: it walks
-the lexicographically smallest path, which the witness then reads from
-the memo, and no refutation runs.
+ceiling (a theorem's value), and the gallop never probes past it.  The
+lower bound is one the caller certified (by a construction), so no
+probe confirms it: the witness walk at the longest confirmed length
+checks it with its first step, which is the unpruned probe at that
+length.  When the lower bound already equals the upper one (a theorem's
+D or a theorem's I(n)), that walk of the lexicographically smallest
+path is the whole search, and no probe runs.
 
 longest_free is the one routine that builds and runs engines, and the
 one place the size guards run: on the monoid's size and cap, before the
@@ -259,13 +259,14 @@ class Monoid(NamedTuple):
     forbidden when it is idempotent, as the allowed-set state and strict
     growth of the module docstring require.  symmetries() lists
     automorphisms of the monoid as index permutations, each fixing the
-    forbidden mask and the candidates, for the engine's refuting probes
-    (Symmetry in the module docstring); the engine calls it on its first
-    such probe only, and the default lists none.  order() lists the
-    elements in the search order of those probes, order()[k] becoming
-    element k of the engine they run on (Search order in the module
-    docstring); it too is called on the first such probe, and the
-    default lists none, so the probes run on the witness's engine."""
+    forbidden mask and the candidates, for the engine's probes (Symmetry
+    in the module docstring); the engine calls it on its first probe
+    only, and the default lists none.  order() lists the elements in the
+    search order of those probes, order()[k] becoming element k of the
+    engine they run on (Search order in the module docstring);
+    longest_free calls it once, when its bracket leaves a probe to run,
+    and the default lists none, so the probes run on the monoid itself
+    and the witness walk reuses their engine."""
 
     n: int
     labels: Sequence[int]
@@ -303,9 +304,8 @@ def _check_size(size: int, cap: int) -> None:
     if cap >= 1 << _LO_SHIFT:
         raise BudgetExceeded(f"state space of a {size}-element monoid is out of reach")
     # At most one table per candidate, and of longest_free's two engines
-    # only one holds tables at a time: FreeSearch.refuter drops the first
-    # engine's for the second, which is dropped before the first one's
-    # witness walk rebuilds its own.  A cell is an 8-byte list slot
+    # only one holds tables at a time: the probe engine is dropped before
+    # the witness walk's engine is built.  A cell is an 8-byte list slot
     # holding a set of preimages, a size-bit int of 24 + 4*ceil(size/30)
     # bytes, so the 2^23 cells admitted take at most 2^23 * (32 +
     # 4*ceil(size/30)) bytes: 0.8 GiB at size 512, the largest that
@@ -359,17 +359,15 @@ class FreeSearch:
     candidate's preimage table is built on the first child it makes,
     and an element's powers on the first power bound that reads them,
     so a walk that tries few candidates builds few of either; the
-    monoid's symmetries are read on the first pruned probe.  An engine
+    monoid's symmetries are read on the first probe.  An engine
     made with another's meter draws on its state count and deadline."""
 
     def __init__(
         self, monoid: Monoid, budget: SearchBudget, meter: _Meter | None = None
     ):
-        self._monoid = monoid
         self.size = size = len(monoid.labels)
         self.product = monoid.product
         self.forbidden = forbidden = monoid.forbidden
-        self.budget = budget
         self._nbytes = (size + 7) // 8
         # a forbidden term is never part of a free sequence
         self.candidates = cands = sorted(
@@ -383,7 +381,7 @@ class FreeSearch:
         self._tables: list[list[int] | None] = [None] * size
         self._powers: list[list[int] | None] = [None] * size
         # the automorphisms, the first terms they leave and, per first
-        # term, the second terms: built on the first pruned probe
+        # term, the second terms: built on the first probe
         self._symmetries = monoid.symmetries
         self._group: list[Sequence[int]] | None = None
         self._minima = 0
@@ -497,17 +495,17 @@ class FreeSearch:
             memo[T] = a << _FLOOR_SHIFT | rest << _LO_SHIFT | hi
         return None
 
-    def exists_free(self, r: int, prune: bool = False) -> bool:
-        """Is there a free sequence of length r?  With prune, and when the
-        monoid lists symmetries, the walk tries only the first two terms
-        the symmetry rules of the module docstring leave; the verdict is
-        the same, and the memo keeps only entries of depth >= 2 states,
-        which stay exact."""
+    def exists_free(self, r: int) -> bool:
+        """Is there a free sequence of length r?  When the monoid lists
+        symmetries, the walk tries only the first two terms the symmetry
+        rules of the module docstring leave; the verdict is the same, and
+        the memo keeps only entries of depth >= 2 states, which stay
+        exact."""
         if r <= 0:
             return True
         A = self._usable
         terms = self._cut(A, 0, r)
-        if prune and self._symmetric():
+        if self._symmetric():
             return self._pruned(terms & self._minima, r)
         return self._next(A, terms, r) is not None
 
@@ -554,33 +552,20 @@ class FreeSearch:
         return pairs
 
     def witness(self, length: int) -> tuple[int, ...]:
-        """Lexicographically smallest free sequence of the given length
-        (which must be achievable — call after exists_free(length)
-        returned True, so the walk reads its path from the memo)."""
+        """Lexicographically smallest free sequence of the given length,
+        trying every term.  Its first step is the unpruned probe for that
+        length, and each step proves the rest of the path, so only the
+        first can fail: InconsistencyError when there is no such
+        sequence."""
         terms: list[int] = []
         A, floor = self._usable, 0
         for remaining in range(length, 0, -1):
             step = self._next(A, self._cut(A, floor, remaining), remaining)
             if step is None:
-                raise InconsistencyError(
-                    f"witness reconstruction stuck at length {len(terms)}"
-                )  # unreachable if length is achievable
+                raise InconsistencyError(f"no free sequence of length {length}")
             floor, A = step
             terms.append(floor)
         return tuple(terms)
-
-    def refuter(self) -> FreeSearch:
-        """The engine for the probes past the confirmed length: this one
-        when the monoid hands over no search order, else one over the
-        monoid reindexed in that order, drawing on this engine's state
-        count and deadline.  This engine's preimage tables are dropped
-        for it, and rebuilt as its witness walk needs them, so the two
-        never hold tables at once (see _check_size)."""
-        order = self._monoid.order()
-        if not order:
-            return self
-        self._tables = [None] * self.size
-        return FreeSearch(self._monoid.reindexed(order), self.budget, self._meter)
 
     @property
     def states_used(self) -> int:
@@ -590,8 +575,8 @@ class FreeSearch:
 
 class Longest(NamedTuple):
     """longest_free's outcome: value and witness, or bracket and reason,
-    with the states the engine explored (0 when its size guards refused
-    to build it)."""
+    with the states its engines explored (0 when its size guards refused
+    to build one)."""
 
     value: int | None
     witness: tuple[int, ...] | None
@@ -613,34 +598,42 @@ def longest_free(
     smallest free sequence of that length, in labels.  The size guards
     run on size and cap before monoid() is called, so a search out of
     reach costs no O(n) work.  [floor, ceiling] is a proven bracket for
-    the value: one probe confirms floor - 1, and the gallop then probes
-    upward while the next length is below ceiling, so floor == ceiling
-    runs no refutation (cap bounds every free length, so ceiling = cap +
-    1 proves nothing more).  The gallop's probes run on
-    FreeSearch.refuter, in the monoid's search order, and prune by its
-    symmetries; the confirming probe and the witness walk do neither.
+    the value, so floor - 1 is a free length the caller has certified.
+    While floor < ceiling, one probe engine, over the monoid in its
+    search order (the monoid itself when it hands over none), gallops
+    upward from floor while the next length is below ceiling, so floor
+    == ceiling runs no probe (cap bounds every free length, so ceiling
+    = cap + 1 proves nothing more).  The witness walk then runs at the
+    longest confirmed length on an engine in label order: the probe
+    engine itself, memo and all, when there is no search order, else a
+    fresh one built after the probe engine is dropped.  Its first step
+    checks that length, so a floor too high raises InconsistencyError.
     The engines share one state count and deadline.  A budget that runs
     out leaves the bracket [length + 1, ceiling], length being the
-    longest the search confirmed (floor - 1 before the first probe)."""
-    engine = None
+    longest the search confirmed (floor - 1 before the first probe), and
+    ceiling length + 1 once a probe refuted that."""
+    meter = _Meter(budget)
     length = floor - 1
     try:
         _check_size(size, cap)
         M = monoid()
-        engine = FreeSearch(M, budget)
-        if length > 0 and not engine.exists_free(length):
+        engine = None
+        if length + 1 < ceiling:
+            order = M.order()
+            engine = FreeSearch(M.reindexed(order) if order else M, budget, meter)
+            while length + 1 < ceiling and engine.exists_free(length + 1):
+                length += 1
+            ceiling = length + 1  # a probe refuted it, or the caller did
+            if order:
+                engine = None  # its tables go before the walk builds its own
+        engine = engine or FreeSearch(M, budget, meter)
+        try:
+            path = engine.witness(length)
+        except InconsistencyError:
             raise InconsistencyError(
                 f"claimed lower bound {length} refuted for n={M.n}"
-            )
-        refuter = None
-        while length + 1 < ceiling:
-            refuter = refuter or engine.refuter()
-            if not refuter.exists_free(length + 1, prune=True):
-                break
-            length += 1
-        del refuter  # its tables go before the witness walk builds its own
-        witness = tuple(M.labels[i] for i in engine.witness(length))
+            ) from None
     except BudgetExceeded as exc:
-        states = engine.states_used if engine is not None else 0
-        return Longest(None, None, (length + 1, ceiling), str(exc), states)
-    return Longest(length + 1, witness, None, None, engine.states_used)
+        return Longest(None, None, (length + 1, ceiling), str(exc), meter.states)
+    witness = tuple(M.labels[i] for i in path)
+    return Longest(length + 1, witness, None, None, meter.states)

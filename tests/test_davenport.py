@@ -153,8 +153,8 @@ def test_theorem_rows_run_no_refutation(monkeypatch):
     verdicts = []
     real = FreeSearch.exists_free
 
-    def counted(self, r, prune=False):
-        got = real(self, r, prune)
+    def counted(self, r):
+        got = real(self, r)
         if self.forbidden == 1 << 1:  # a Davenport engine
             verdicts.append((r, got))
         return got

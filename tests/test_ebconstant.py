@@ -160,13 +160,28 @@ def test_verify_theorem_builds_the_construction_once(monkeypatch):
         assert eb_exact(n, budget).constructed is constructed
 
 
+def test_a_refutation_at_the_floor_keeps_the_value_when_its_walk_runs_out():
+    # 68 = 4*17 lies outside the proved classes.  Refuting 18 takes 39479
+    # states and the walk 3308 more, so at 40000 the walk runs out, the
+    # refutation pins I(68) at the floor 18 and the construction is the
+    # witness
+    budget = SearchBudget(max_states=40000)
+    r = eb_exact(68, budget)
+    assert (r.status, r.value, r.lower_bound, r.constructed) == (STATUS_EXACT, 18, 18, True)
+    assert r.witness == construct_extremal(68, budget)
+    rep = verify_theorem(68, budget)
+    assert (rep.status, rep.eb_value) == (SCAN_CONJECTURE_VERIFIED, 18)
+    assert rep.note == "witness walk hit budget; witness is the construction"
+    assert rep.witness == r.witness.as_tuple()
+
+
 def _eb_verdicts(monkeypatch) -> list[tuple[int, bool]]:
     """(length, verdict) of every probe an I(n) engine answers."""
     verdicts = []
     real = FreeSearch.exists_free
 
-    def counted(self, r, prune=False):
-        got = real(self, r, prune)
+    def counted(self, r):
+        got = real(self, r)
         if self.forbidden != 1 << 1:  # not a Davenport engine
             verdicts.append((r, got))
         return got
@@ -290,11 +305,10 @@ def test_verify_theorem_runs_one_davenport_search(monkeypatch):
     masks = _engine_masks(monkeypatch)
     rep = verify_theorem(168, SearchBudget(max_states=500))
     assert (rep.davenport, rep.davenport_bounds) == (None, (9, 48))
-    # one Davenport engine, and M(168)'s, with its refuting engine in the
-    # search order when the confirming probe got that far
+    # one Davenport engine, then M(168)'s probe engine in the search order,
+    # whose budget runs out before any witness walk needs a second
     M = _quotient_monoid(factorize(168))
-    assert masks.count(1 << 1) == 1 and masks[1] == M.forbidden
-    assert masks[2:] in ([], [M.reindexed(M.order()).forbidden])
+    assert masks == [1 << 1, M.reindexed(M.order()).forbidden]
 
 
 def test_the_i_search_gets_the_seconds_the_davenport_search_left():

@@ -148,8 +148,8 @@ def probes(monkeypatch) -> list[tuple[int, bool]]:
     verdicts = []
     real = FreeSearch.exists_free
 
-    def counted(self, r, prune=False):
-        got = real(self, r, prune)
+    def counted(self, r):
+        got = real(self, r)
         verdicts.append((r, got))
         return got
 
@@ -590,19 +590,21 @@ def test_longest_free_runs_the_size_guards_once_per_search(monkeypatch):
 
 
 def test_probes_gallop_from_the_seed_with_no_cap_probe(probes):
-    # I(12): cap 8, longest free length 3
-    for floor, schedule in ((4, [3, 4]), (1, [1, 2, 3, 4])):
+    # I(12): cap 8, longest free length 3.  The caller certifies floor - 1,
+    # so the first probe is at the floor
+    for floor, schedule in ((4, [4]), (1, [1, 2, 3, 4])):
         probes.clear()
-        longest(eb_args(12), floor=floor)
+        assert longest(eb_args(12), floor=floor).value == 4
         assert [r for r, _ in probes] == schedule
-    # the Davenport search mod 9 (cyclic): cap 5 is the answer, one probe
+    # the Davenport search mod 9 (cyclic): cap 5 is the answer, so floor 6
+    # meets the ceiling cap + 1 and no probe runs
     probes.clear()
-    longest(dav_args(9), floor=6)
-    assert [r for r, _ in probes] == [5]
+    assert longest(dav_args(9), floor=6).value == 6
+    assert probes == []
 
 
 @pytest.mark.parametrize("n", (6, 9, 10, 12))
-def test_longest_free_never_probes_at_or_past_its_ceiling(probes, n):
+def test_longest_free_never_probes_at_or_past_its_ceiling(monkeypatch, probes, n):
     args = eb_args(n)
     cap, value = args[3], brute_eb(n)
     for floor in (1, value):
@@ -610,10 +612,18 @@ def test_longest_free_never_probes_at_or_past_its_ceiling(probes, n):
             probes.clear()
             assert longest(args, floor, ceiling).value == value
             assert all(r < ceiling for r, _ in probes), (floor, ceiling, probes)
-    # floor == ceiling: one confirming probe, no refutation
+    # floor == ceiling: no probe, and one witness walk at the floor's length
+    walks = []
+    real = FreeSearch.witness
+
+    def counted(self, length):
+        walks.append(length)
+        return real(self, length)
+
+    monkeypatch.setattr(FreeSearch, "witness", counted)
     probes.clear()
-    longest(args, value, value)
-    assert probes == [(value - 1, True)]
+    assert longest(args, value, value).value == value
+    assert probes == [] and walks == [value - 1]
 
 
 @pytest.mark.parametrize("n", (8, 10, 12))
@@ -627,6 +637,22 @@ def test_a_spent_budget_brackets_up_to_the_ceiling(n):
         assert found.value is None and found.states > 0
         lo, hi = found.bounds
         assert 1 < lo <= value <= hi == ceiling
+
+
+def test_a_refutation_stays_in_the_bracket_when_the_walk_runs_out():
+    # I(44) = 12: the probe refutes 12, so a budget one state short of the
+    # whole search runs out in the witness walk and leaves [12, 12], not
+    # [12, cap + 1]
+    f = factorize(44)
+    size, cap = _quotient_size(f)
+
+    def search(budget):
+        return longest_free(size, lambda: _quotient_monoid(f), cap, 12, cap + 1, budget)
+
+    whole = search(SearchBudget())
+    assert whole.value == 12
+    found = search(SearchBudget(max_states=whole.states - 1))
+    assert found.value is None and found.bounds == (12, 12)
 
 
 @pytest.mark.parametrize(
@@ -702,9 +728,9 @@ def test_symmetry_keeps_every_answer_and_never_adds_states(monkeypatch, n):
     probes = []
     real = FreeSearch.exists_free
 
-    def counted(self, r, prune=False):
+    def counted(self, r):
         probes.append(r)
-        return real(self, r, prune)
+        return real(self, r)
 
     monkeypatch.setattr(FreeSearch, "exists_free", counted)
     for size, build, cap in searches:
@@ -728,10 +754,11 @@ def test_the_group_is_built_on_the_first_pruned_probe_only():
         calls.append(1)
         return M.symmetries()
 
+    # the witness walk tries every term and never reads the group
     engine = FreeSearch(M._replace(symmetries=symmetries), SearchBudget())
-    assert engine.exists_free(11) and engine.witness(11) and calls == []
-    assert not engine.exists_free(12, prune=True)
-    assert not engine.exists_free(12, prune=True) and calls == [1]
+    assert engine.witness(11) and calls == []
+    assert not engine.exists_free(12)
+    assert engine.exists_free(11) and calls == [1]
 
 
 @pytest.mark.parametrize("n", range(2, 61))
@@ -809,7 +836,7 @@ def test_the_search_order_never_adds_refuting_states():
         states = []
         for monoid in (M, M.reindexed(M.order())):
             engine = FreeSearch(monoid, SearchBudget())
-            assert not engine.exists_free(lower, prune=True)
+            assert not engine.exists_free(lower)
             states.append(engine.states_used)
         assert states[1] <= states[0], (n, states)
         totals = [t + s for t, s in zip(totals, states)]
@@ -845,21 +872,33 @@ def test_a_budget_bounds_both_engines_together(monkeypatch, n):
 
 
 def test_the_refuting_engine_draws_on_one_count_and_deadline(monkeypatch):
-    # the engine in the search order counts on from the labelled engine's
-    # states and stops at its deadline, not at one of its own
+    # longest_free's two engines over M(44), the probe engine in the search
+    # order and the witness walk's in label order: the walk's engine counts
+    # on from the probes' states and stops at the call's deadline, not at
+    # one of its own
     now = [0.0]
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
     monkeypatch.setattr(search, "_TIME_CHECK_PERIOD", 1)
-    engine = FreeSearch(_quotient_monoid(factorize(44)), SearchBudget(max_seconds=10))
-    assert engine.exists_free(11)
-    confirmed = engine.states_used
-    now[0] = 9.0
-    refuter = engine.refuter()
-    assert refuter is not engine and refuter.states_used == confirmed > 0
-    now[0] = 11.0
-    with pytest.raises(BudgetExceeded, match="10 seconds"):
-        refuter.exists_free(12, prune=True)
-    assert engine.states_used == refuter.states_used == confirmed + 1
+    engines, probed = [], []
+    real_init = FreeSearch.__init__
+
+    def collected(self, *args):
+        if engines:  # the walk's engine, built past the deadline
+            probed.append(engines[0].states_used)
+            now[0] = 11.0
+        real_init(self, *args)
+        engines.append(self)
+
+    monkeypatch.setattr(FreeSearch, "__init__", collected)
+    f = factorize(44)
+    size, cap = _quotient_size(f)
+    found = longest_free(
+        size, lambda: _quotient_monoid(f), cap, 12, cap + 1, SearchBudget(max_seconds=10)
+    )
+    assert len(engines) == 2 and probed[0] > 0
+    assert found.value is None and "10 seconds" in found.reason
+    assert found.states == probed[0] + 1
+    assert [e.states_used for e in engines] == [found.states] * 2
 
 
 def test_the_order_is_read_on_the_first_refuting_probe_only():
