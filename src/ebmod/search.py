@@ -65,31 +65,59 @@ Key facts the engine leans on:
   of them forbidden, so P lies in the usable set by the closure above,
   and then (ii) says exactly that P misses bad(S): P lies in
   allowed(S).  Neither condition reads S itself, so two states with
-  one allowed set extend by the same terms from every floor, and the
-  memo is keyed on A.  A and bad(S) determine each other, and in a unit
-  group bad(S) = S^-1 is a bijective image of S, so there the key only
-  renames the states; in M(n) many product sets share one allowed set,
-  and the memo answers them all from one entry.
+  one allowed set extend by the same terms from every floor.  Write
+  reach(K, f) for the most terms >= f of a free sequence whose product
+  set lies in a set K of usable elements; a state A extends from f by
+  exactly reach(A, f) terms, and the walk, the bounds and the memo
+  below read K only as such a set, so the memo is keyed on K, the
+  allowed set cut to its floor's ideal (Floor ideal, below).  A and
+  bad(S) determine each other, and in a unit group bad(S) = S^-1 is a
+  bijective image of S, so there the key only renames the states; in
+  M(n) many product sets share one allowed set, more share one cut
+  set, and the memo answers them all from one entry.
 
-* The allowed-set bound.  If T extends by r more terms, their product
-  set P lies in allowed(T) by the lemma above, and b_1..b_r is free on
-  its own, so |P| >= r by strict growth.  Hence r <= |allowed(T)|, and
-  a child with fewer allowed elements than terms still to place is
-  dropped where it is made, before it becomes a state.  For both
-  callers |bad(T)| >= |T|, so it is at least as strong as strict
-  growth.  In a unit group bad(T) = T^-1.  In M(n) the map acting
-  componentwise by u -> u^-1 on a unit, p^j -> p^(k - j) for 1 <= j <
-  k and p^k -> p^k is an involution, hence injective, and it sends each
-  t to an element t' with t*t' idempotent in every component; t' is
-  idempotent only when t is, and T has no idempotent, so t' is usable
-  (every element of M(n) is a candidate) and lies in bad(T).  So every
+* Floor ideal.  Let J_f be the ideal the usable elements >= f
+  generate: the products u*m of a usable u >= f and any element m.  It
+  holds every usable element >= f (take m = 1), and J_f*m lies in J_f.
+  Each product of an extension's terms is one term >= f times the
+  product of the others, or that term alone, so the product set of an
+  extension from floor f lies in J_f, and it lies in K exactly when it
+  lies in K & J_f: reach(K, f) = reach(K & J_f, f), in any monoid and
+  in any order of its indices.  So the walk cuts each child to the
+  ideal of its floor where it builds it: a's preimage table keeps only
+  the x in J_a, and a's child of A is A & a^-1 A & J_a at no cost per
+  child.  The cut set is no larger than the allowed set, so the
+  allowed-set bound below is tighter and more states share one memo
+  entry.  FreeSearch builds J_f once, top down: J_f is J_(f+1) unless
+  f is usable and outside it, when f's row of products joins it.  Where
+  the last usable element is a unit, as in the units and in M(n) in
+  label order (the class of -1), its row is the whole monoid, so J_f
+  is the whole monoid at every floor a term can take and no child is
+  cut; the witness walk and the Davenport searches are unchanged.  In
+  M(n)'s search order (below) the units come first, and a product with
+  a non-unit factor is a non-unit, so once the floor passes the units
+  J_f holds no unit and each child drops every unit.
+
+* The allowed-set bound.  If T extends by r more terms >= f, their
+  product set P lies in allowed(T) & J_f by the lemmas above, and
+  b_1..b_r is free on its own, so |P| >= r by strict growth.  Hence
+  r <= |allowed(T) & J_f|, and a child whose cut set has fewer elements
+  than terms still to place is dropped where it is made, before it
+  becomes a state.  For both callers |bad(T)| >= |T|, so it is at
+  least as strong as strict growth.  In a unit group bad(T) = T^-1.  In
+  M(n) the map acting componentwise by u -> u^-1 on a unit,
+  p^j -> p^(k - j) for 1 <= j < k and p^k -> p^k is an involution,
+  hence injective, and it sends each t to an element t' with t*t'
+  idempotent in every component; t' is idempotent only when t is, and
+  T has no idempotent, so t' is usable (every element of M(n) is a
+  candidate) and lies in bad(T).  So every
   child of the empty sequence has a nonempty bad set, and the bound
   refutes any r > |usable| there without a state: the engine needs no
   cap.
 
 * The power bound.  Let the r terms above all be >= the floor f, and
   let mult_A(b) count the leading powers b, b^2, b^3, ... that lie in A
-  = allowed(T).  A term b taken j times makes b, b^2, ..., b^j
+  = allowed(T) & J_f.  A term b taken j times makes b, b^2, ..., b^j
   sub-products, so all of them lie in P, which lies in A; hence j <=
   mult_A(b), and summing over the terms, which lie in A and are >= f,
   r <= the sum of mult_A(b) over the b in A with b >= f.  The walk
@@ -103,24 +131,25 @@ Key facts the engine leans on:
   one term left to place the sum reaches 1 at the top allowed element,
   so the bound passes exactly when some term can be placed.
 
-* Monotone reach.  If a state extends by r further terms, it extends
-  by fewer; if it cannot extend by r, it cannot extend by more.  Reach
-  is monotone in the floor too: the elements >= g include those >= f
-  when g <= f, so an extension by r from floor f is one from every
-  lower floor, and none from f means none from any higher floor.  The
-  entry for an allowed set packs into one int the floor f it was last
-  computed at and two bounds there, the best r proven reachable and the
-  worst r proven unreachable; the power bound only leaves out next
-  terms that open no extension, so the verdict of a walk over the terms
-  it leaves is the one from f.  A query at a floor g <= f answers True
-  up to the first bound, one at g >= f answers False from the second;
-  any other query walks the state's children at g, starting from the
-  bound that still holds, and overwrites the entry with g's bounds.
-  Whichever product set made the entry, the bounds hold for every state
-  with that allowed set, so a hit changes no verdict, and with it no
-  probe, witness or order of the walk.  FreeSearch._next, the one walk,
-  reads the entry of each child where it builds it, and the probes and
-  a witness walk on one engine share its memo.
+* Monotone reach.  If a state extends by r further terms, it extends by
+  fewer; if it cannot extend by r, it cannot extend by more.  Reach is
+  monotone in the floor too: the elements >= g include those >= f when
+  g <= f, so an extension by r from floor f is one from every lower
+  floor, and none from f means none from any higher floor.  The entry
+  for a key K packs into one int the floor f it was last computed at
+  and two bounds on reach(K, f), the best r proven reachable and the
+  worst r proven unreachable; the power bound only
+  leaves out next terms that open no extension, so the verdict of a walk
+  over the terms it leaves is the one from f.  A query at a floor g <= f
+  answers True up to the first bound, one at g >= f answers False from
+  the second; any other query walks the state's children at g, starting
+  from the bound that still holds, and overwrites the entry with g's
+  bounds.  Whichever product set made the entry, the bounds hold for
+  every state whose cut set at the query's floor is its key, since
+  reach(K, g) is that state's reach from g, so a hit changes no verdict,
+  and with it no probe, witness or order of the walk.  FreeSearch._next,
+  the one walk, reads the entry of each child where it builds it, and
+  the probes and a witness walk on one engine share its memo.
 
 * Symmetry.  Let G be a set of automorphisms of the monoid that fix the
   forbidden mask and the candidates, as Monoid.symmetries lists them.
@@ -158,24 +187,29 @@ Key facts the engine leans on:
   arrangement in any total order.  The allowed-set lemma and the
   allowed-set bound speak of sets and products only, and the 8-element
   chunks of the preimage tables only represent a set, whatever elements
-  share a chunk.  The power bound uses only that the terms of an
-  extension are >= the floor and that, summing from the largest index of
-  A down, the terms above the b it stops at are all among those scanned
-  before b; both hold in any total order.  The memo's floor rules use
-  only that the elements >= g include those >= f when g <= f, again true
-  in any total order, and an engine's memo is keyed on allowed sets in
-  its own indices, so no entry passes between engines.  Symmetry: for g
-  in G, pi g pi^-1 is an automorphism of the renamed monoid fixing its
-  forbidden mask and candidates, which is how Monoid.reindexed maps the
-  symmetries, and the argument above picks s* lexicographically smallest
-  in whatever order the indices have.  So the gallop's probes may run
-  on an engine over the monoid renamed in a search order the caller
-  hands over (Monoid.order), while the witness walk runs on an engine in
-  label order, whose lexicographically smallest sequence is the witness.
-  The order changes the cost only.  M(n)'s (ebconstant) puts the units
+  share a chunk.  The floor ideal reads the order only through the
+  usable elements >= f, the terms an extension from f draws on in that
+  same order; what the order changes is how much it cuts.  The power
+  bound uses only that the terms of an extension are >= the floor and
+  that, summing from the largest index of A down, the terms above the b
+  it stops at are all among those scanned before b; both hold in any
+  total order.  The memo's floor rules use only that the elements >= g
+  include those >= f when g <= f, again true in any total order, and an
+  engine's memo is keyed on cut sets in its own indices, so no entry
+  passes between engines.  Symmetry: for g in G, pi g pi^-1 is an
+  automorphism of the renamed monoid fixing its forbidden mask and
+  candidates, which is how Monoid.reindexed maps the symmetries, and the
+  argument above picks s* lexicographically smallest in whatever order
+  the indices have.  So the gallop's probes may run on an engine over
+  the monoid renamed in a search order the caller hands over
+  (Monoid.order), while the witness walk runs on an engine in label
+  order, whose lexicographically smallest sequence is the witness.  The
+  order changes the cost only.  M(n)'s (ebconstant) puts the units
   first, then elements with more leading usable powers, then labels; it
   was chosen because it measured fewer states on every refutation for
-  n <= 66, about half in total, and no proof says it is best.
+  n <= 66, about half in total, and no proof says it is best.  It also
+  makes the floor ideal cut: past the units every child drops them,
+  where in label order no child is cut.
 
 Probing order exploits the cost asymmetry: refuting length r costs
 roughly exponential in the slack cap - r, so longest_free gallops
@@ -219,8 +253,8 @@ class SearchBudget:
     """Resource limits for one exact search.
 
     max_states caps the states of one longest_free call, one memo entry
-    per distinct allowed set an engine of it explores (see the module
-    docstring); blowing it raises
+    per distinct allowed set, cut to its floor's ideal, that an engine
+    of it explores (see the module docstring); blowing it raises
     BudgetExceeded, which callers convert into an honest undecided
     verdict.  max_seconds is wall-clock, checked coarsely.  Both must
     be >= 0; 0 and inf are legal, NaN is not.
@@ -376,6 +410,16 @@ class FreeSearch:
         self._usable = usable = sum(1 << a for a in cands)
         # _above[f]: the usable elements >= f, for every floor f
         self._above = [usable >> f << f for f in range(size + 1)]
+        # _ideal[f]: the ideal J_f the usable elements >= f generate (Floor
+        # ideal in the module docstring), built top down: a usable f adds
+        # its row of products only when J_(f+1) does not hold it already
+        self._ideal = ideal = [0] * (size + 1)
+        J = 0
+        for f in range(size - 1, -1, -1):
+            if usable >> f & 1 and not J >> f & 1:
+                for m in range(size):
+                    J |= 1 << self.product(f, m)
+            ideal[f] = J
         self._memo: dict[int, int] = {}
         self._meter = meter or _Meter(budget)
         self._tables: list[list[int] | None] = [None] * size
@@ -388,12 +432,16 @@ class FreeSearch:
         self._pairs: list[int | None] = [None] * size
 
     def _build_table(self, a: int) -> list[int]:
-        """Per 8-bit chunk c of an allowed set, the usable x with a*x in
-        the subset b of that chunk, at index c << 8 | b.  Each element of
-        the chunk doubles the entries built so far."""
+        """Per 8-bit chunk c of an allowed set, the usable x in the floor
+        ideal J_a with a*x in the subset b of that chunk, at index c << 8
+        | b, so a child the walk builds from a is cut to J_a at no cost
+        per child.  Each element of the chunk doubles the entries built
+        so far."""
         pre = [0] * self.size
+        ideal = self._ideal[a]
         for x in self.candidates:
-            pre[self.product(x, a)] |= 1 << x
+            if ideal >> x & 1:
+                pre[self.product(x, a)] |= 1 << x
         table: list[int] = []
         for base in range(0, self.size, 8):
             chunk = [0]

@@ -161,11 +161,11 @@ def test_verify_theorem_builds_the_construction_once(monkeypatch):
 
 
 def test_a_refutation_at_the_floor_keeps_the_value_when_its_walk_runs_out():
-    # 68 = 4*17 lies outside the proved classes.  Refuting 18 takes 39479
-    # states and the walk 3308 more, so at 40000 the walk runs out, the
+    # 68 = 4*17 lies outside the proved classes.  Refuting 18 takes 24605
+    # states and the walk 3308 more, so at 26000 the walk runs out, the
     # refutation pins I(68) at the floor 18 and the construction is the
     # witness
-    budget = SearchBudget(max_states=40000)
+    budget = SearchBudget(max_states=26000)
     r = eb_exact(68, budget)
     assert (r.status, r.value, r.lower_bound, r.constructed) == (STATUS_EXACT, 18, 18, True)
     assert r.witness == construct_extremal(68, budget)

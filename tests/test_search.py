@@ -115,9 +115,13 @@ def brute_allowed(engine: FreeSearch, monoid, forbidden: set[int], seq) -> int:
 
 
 def child_allowed(engine: FreeSearch, A: int, a: int) -> int:
-    """The allowed set after appending the usable a to the state A, built
-    as the engine's walk builds it: a's preimage table read at the
-    nonzero bytes of A, and the union intersected with A."""
+    """The child of the state A by the usable a, built as the engine's
+    walk builds it: a's preimage table read at the nonzero bytes of A,
+    and the union intersected with A.  That is the allowed set after
+    appending a, cut to the floor ideal J_a; on the label-order and
+    residue engines J_a is the whole monoid, so there it is the allowed
+    set itself, and test_reach_from_a_floor_reads_only_the_floor_ideal
+    pins the cut on M(n) in its search order."""
     table = engine._tables[a] or engine._build_table(a)
     pre = 0
     for cb in engine._chunks(A):
@@ -543,6 +547,115 @@ def test_reach_depends_on_the_bad_set_alone():
                     assert len({longest(P) for P in sets}) == 1, (n, sorted(bad))
                     merged += len(sets)
     assert merged > 0
+
+
+def floor_ideal_setups(n: int) -> list[tuple]:
+    """(kind, engine, monoid, forbidden residues) of the three engines the
+    floor ideal is pinned on: M(n) in its search order ("S"), M(n) in
+    label order ("M") and the units with 0 adjoined ("U")."""
+    M = _quotient_monoid(factorize(n))
+    idem = set(brute_idempotents(n))
+    setups = (("S", M.reindexed(M.order()), idem), ("M", M, idem), ("U", _unit_monoid(n), {1}))
+    return [
+        (kind, FreeSearch(monoid, SearchBudget()), monoid, forbidden)
+        for kind, monoid, forbidden in setups
+    ]
+
+
+def brute_longest(engine: FreeSearch, P: int, floor: int, fits) -> int:
+    """The most nondecreasing usable terms >= floor that extend a sequence
+    whose product-set mask is P (0 for the empty sequence) with every
+    joined product set passing fits: exhaustive over the joined product
+    sets, P | {b} | P*b after the term b."""
+    terms = [b for b in engine.candidates if b >= floor]
+    product = engine.product
+
+    @functools.cache
+    def longest(P: int, i: int) -> int:
+        best = 0
+        for j in range(i, len(terms)):
+            b = terms[j]
+            Q = P | 1 << b
+            for s in range(engine.size):
+                if P >> s & 1:
+                    Q |= 1 << product(s, b)
+            if fits(Q):
+                best = max(best, 1 + longest(Q, j))
+        return best
+
+    return longest(P, 0)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_the_floor_ideal_is_an_ideal_holding_the_usable_elements_above(n):
+    # J_f, every product of a usable u >= f with an element, as the engine
+    # builds it top down: closed under products with every element, and
+    # holding every usable element >= f.  In label order and in the units
+    # the last usable element is the unit -1, so J_f is the whole monoid
+    # up to it and empty past it; in the search order the units come
+    # first, and past them J_f holds no unit
+    m = n // 2 if n % 4 == 2 else n  # the units of M(n) are those mod m
+    for kind, engine, monoid, _ in floor_ideal_setups(n):
+        size = engine.size
+        whole, usable = (1 << size) - 1, engine._usable
+        last = engine.candidates[-1] if engine.candidates else -1
+        units = _mask(k for k in range(size) if gcd(monoid.labels[k], m) == 1)
+        for f in range(size + 1):
+            J = engine._ideal[f]
+            assert J == _mask(
+                monoid.product(u, y) for u in engine.candidates if u >= f for y in range(size)
+            ), (kind, f)
+            assert all(
+                J >> monoid.product(x, y) & 1
+                for x in range(size) if J >> x & 1
+                for y in range(size)
+            ), (kind, f)
+            assert usable >> f << f & ~J == 0, (kind, f)
+            if kind != "S":
+                assert J == (whole if f <= last else 0), (kind, f)
+            elif units >> f == 0:
+                assert J & units == 0, f
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_reach_from_a_floor_reads_only_the_floor_ideal(n):
+    # The lemma the engine's children rest on, by exhaustive search: from
+    # a seeded free prefix S and floor f, the longest free extension by
+    # terms >= f is the longest extension whose product set lies in
+    # allowed(S), and in allowed(S) & J_f.  On the search order the
+    # engine's child of a usable a is the brute allowed set of S with a
+    # appended, cut to J_a.  The floors are the first one past the units,
+    # where the search order's ideals start to cut, and one in the upper
+    # half: from a low floor the brute search in the units mod a prime
+    # near 40 takes seconds per prefix
+    rng = random.Random(17 * n)
+    m = n // 2 if n % 4 == 2 else n  # the units of M(n) are those mod m
+    cut = 0
+    for kind, engine, monoid, forbidden in floor_ideal_setups(n):
+        cls = monoid.index
+        units = _mask(k for k in range(engine.size) if gcd(monoid.labels[k], m) == 1)
+        for seq in _random_free_sequences(
+            n, [monoid.labels[a] for a in engine.candidates], forbidden, rng, 6, 5
+        ):
+            if not seq:
+                continue
+            P = _mask(cls[t] for t in brute_product_set(seq, n))
+            A = brute_allowed(engine, monoid, forbidden, seq)
+            for f in {units.bit_length(), rng.randrange(engine.size // 2, engine.size + 1)}:
+                J = engine._ideal[f]
+                whole = brute_longest(engine, P, f, lambda Q: not Q & engine.forbidden)
+                assert brute_longest(engine, 0, f, lambda Q: not Q & ~A) == whole
+                assert brute_longest(engine, 0, f, lambda Q: not Q & ~(A & J)) == whole
+                cut += kind == "S" and J != 0 and A & ~J != 0
+            if kind == "S":
+                for a in engine.candidates:
+                    if A >> a & 1:
+                        expected = brute_allowed(
+                            engine, monoid, forbidden, seq + (monoid.labels[a],)
+                        )
+                        assert child_allowed(engine, A, a) == expected & engine._ideal[a]
+        if kind == "S":
+            assert cut or not engine._usable & ~units, "no state was cut"
 
 
 def test_image_tables_are_built_on_first_use():
