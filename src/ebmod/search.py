@@ -122,14 +122,17 @@ Key facts the engine leans on:
   mult_A(b), and summing over the terms, which lie in A and are >= f,
   r <= the sum of mult_A(b) over the b in A with b >= f.  The walk
   adds these up from the top of A down and stops at the first b at
-  which the sum reaches r.  If the smallest term of an extension were
-  above that b, every term would be among the elements scanned before
-  it, whose sum is short of r; so only the terms of A from f up to b
-  can open an extension, and they are all the next call tries (its own
-  later terms range over A above the one it takes).  When the sum
-  stays short, the child is dropped before it becomes a state.  With
-  one term left to place the sum reaches 1 at the top allowed element,
-  so the bound passes exactly when some term can be placed.
+  which the sum reaches r.  Each b it scans is a set bit of A, so b
+  itself counts 1 without a test, and only b^2, b^3, ... are looked up
+  in A, from a list built on b's first scan.  If the smallest term of
+  an extension were above that b, every term would be among the
+  elements scanned before it, whose sum is short of r; so only the
+  terms of A from f up to b can open an extension, and they are all
+  the next call tries (its own later terms range over A above the one
+  it takes).  When the sum stays short, the child is dropped before it
+  becomes a state.  With one term left to place the sum reaches 1 at
+  the top allowed element, so the bound passes exactly when some term
+  can be placed.
 
 * Monotone reach.  If a state extends by r further terms, it extends by
   fewer; if it cannot extend by r, it cannot extend by more.  Reach is
@@ -401,6 +404,10 @@ class FreeSearch:
     ):
         self.size = size = len(monoid.labels)
         self.product = monoid.product
+        # the product rule read directly where rows of products are built
+        self._labels, self._index, self._n = labels, index, n = (
+            monoid.labels, monoid.index, monoid.n
+        )
         self.forbidden = forbidden = monoid.forbidden
         self._nbytes = (size + 7) // 8
         # a forbidden term is never part of a free sequence
@@ -417,8 +424,9 @@ class FreeSearch:
         J = 0
         for f in range(size - 1, -1, -1):
             if usable >> f & 1 and not J >> f & 1:
-                for m in range(size):
-                    J |= 1 << self.product(f, m)
+                lf = labels[f]
+                for m in labels:
+                    J |= 1 << index[lf * m % n]
             ideal[f] = J
         self._memo: dict[int, int] = {}
         self._meter = meter or _Meter(budget)
@@ -436,65 +444,72 @@ class FreeSearch:
         ideal J_a with a*x in the subset b of that chunk, at index c << 8
         | b, so a child the walk builds from a is cut to J_a at no cost
         per child.  Each element of the chunk doubles the entries built
-        so far."""
+        so far: by a copy when no x maps onto it, as for every unit when
+        a is a non-unit of M(n), else by OR-ing its preimages in."""
+        labels, index, n = self._labels, self._index, self._n
+        la = labels[a]
         pre = [0] * self.size
         ideal = self._ideal[a]
         for x in self.candidates:
             if ideal >> x & 1:
-                pre[self.product(x, a)] |= 1 << x
+                pre[index[labels[x] * la % n]] |= 1 << x
         table: list[int] = []
         for base in range(0, self.size, 8):
             chunk = [0]
             for y in pre[base : base + 8]:
-                chunk += [v | y for v in chunk]
+                if y:
+                    chunk += [v | y for v in chunk]
+                else:
+                    chunk += chunk
             table += chunk
         self._tables[a] = table
         return table
 
     def _build_powers(self, b: int) -> list[int]:
-        """The bits of b, b^2, b^3, ... up to the first power that is not
-        usable.  They are distinct, so there are at most as many as usable
+        """The bits of b^2, b^3, ... up to the first power that is not
+        usable; b itself is left out, since _cut scans only the b in the
+        allowed set.  They are distinct, so there are fewer than usable
         elements: a repeat would make an earlier power of b idempotent,
         and an idempotent product of usable elements is forbidden (see
         Strict growth in the module docstring)."""
-        powers = [1 << b]
-        x = b
+        labels, index, n, usable = self._labels, self._index, self._n, self._usable
+        lb = labels[b]
+        powers = []
+        x = lb
         for _ in self.candidates:
-            x = self.product(x, b)
-            if not self._usable >> x & 1:
+            k = index[x * lb % n]
+            if not usable >> k & 1:
                 break
-            powers.append(1 << x)
+            powers.append(1 << k)
+            x = labels[k]
         self._powers[b] = powers
         return powers
-
-    def _chunks(self, A: int) -> list[int]:
-        """Table indices c << 8 | b of the nonzero bytes b of A."""
-        return [
-            c << 8 | b
-            for c, b in enumerate(A.to_bytes(self._nbytes, "little"))
-            if b
-        ]
 
     def _cut(self, A: int, floor: int, r: int) -> int:
         """The terms of A that the power bound of the module docstring
         leaves to open an extension of the state A by r >= 1 terms >=
         floor: those from floor up to the b at which the sum of mult_A,
-        taken down from the top of A, reaches r; 0 when it stays short."""
+        taken down from the top of A, reaches r; 0 when it stays short.
+        Each b scanned is a term of A, so it counts once untested, and
+        only its higher powers are looked up in A."""
         powers = self._powers
         left = A & self._above[floor]
         while left:
             b = left.bit_length() - 1
             left ^= 1 << b
-            for p in powers[b] or self._build_powers(b):
+            r -= 1
+            if not r:
+                return left | 1 << b
+            higher = powers[b]
+            if higher is None:
+                higher = self._build_powers(b)
+            for p in higher:
                 if not A & p:
                     break
                 r -= 1
                 if not r:
                     return left | 1 << b
         return 0
-
-    def _tick(self) -> None:
-        self._meter.tick()
 
     def _next(self, A: int, terms: int, r: int) -> tuple[int, int] | None:
         """(a, T) for the smallest term a in the mask `terms` whose child,
@@ -503,7 +518,10 @@ class FreeSearch:
         no such a.  `terms` is what _cut leaves of the allowed set A above
         a floor, so the answer is the one for every term of A from there."""
         tables, memo = self._tables, self._memo
-        chunks = self._chunks(A)
+        # the table indices c << 8 | b of the nonzero bytes b of A
+        chunks = [
+            c << 8 | b for c, b in enumerate(A.to_bytes(self._nbytes, "little")) if b
+        ]
         rest = r - 1
         while terms:
             low = terms & -terms
@@ -536,7 +554,7 @@ class FreeSearch:
             if not sub:
                 continue
             if ent is None:
-                self._tick()
+                self._meter.tick()
             if self._next(T, sub, rest) is not None:
                 memo[T] = a << _FLOOR_SHIFT | lo << _LO_SHIFT | rest
                 return a, T

@@ -18,9 +18,10 @@ alone, so its masks are phi(n) bits wide, indexed by the exponent
 vectors of unitgroup.log_index.  Its cost follows the length of its
 answer: a term equal to 1 is the answer on its own, returned before the
 DP builds the index or any level; otherwise level 1 costs L lookups for
-L terms, the translations that multiply a mask by a unit are built only
-from level 2 on, and the last level stops at the first suffix whose
-products hold the identity.
+L terms, the translation that multiplies a mask by a unit is built when
+a level first multiplies by that unit, and the last level stops at the
+first suffix whose products hold the identity, so a short answer
+translates by a few units only.
 
 The empty product is deliberately NOT 1 here: pi() of the empty sequence
 is a domain error, so "nonempty subsequence" is enforced by types rather
@@ -125,10 +126,11 @@ def is_idempotent_product_free(T: ResidueSequence) -> bool:
     return True
 
 
-def _translations(values, index: dict[int, int], orders: tuple[int, ...]):
-    """Multiplication by each unit of values on product-set masks in the
-    coordinates index and orders of unitgroup.log_index, as a pair
-    (shifts, up).
+def _translations(index: dict[int, int], orders: tuple[int, ...]):
+    """Multiplication by a unit on product-set masks in the coordinates
+    index and orders of unitgroup.log_index, as move(v), which returns
+    the pair (shifts, up) for the unit v, built on its first use and kept
+    for the life of move.
 
     Along an invariant factor of order d and stride st, multiplying by a
     unit whose exponent there is s moves an element with exponent
@@ -140,22 +142,25 @@ def _translations(values, index: dict[int, int], orders: tuple[int, ...]):
     """
     full = (1 << len(index)) - 1
     inner = []  # (order, stride, repunit with period order * stride)
-    st = 1
+    top = 1  # the stride of the last factor
     for d in orders[:-1]:
-        inner.append((d, st, full // ((1 << d * st) - 1)))
-        st *= d
-    out = {}
-    for v in values:
-        if v in out:
-            continue
-        x, shifts = index[v], []
-        for d, st_i, rep in inner:
-            s = x // st_i % d
-            if s:
-                down = (d - s) * st_i
-                shifts.append((((1 << down) - 1) * rep, s * st_i, down))
-        out[v] = shifts, x - x % st
-    return [out[v] for v in values]
+        inner.append((d, top, full // ((1 << d * top) - 1)))
+        top *= d
+    built = {}
+
+    def move(v: int):
+        pair = built.get(v)
+        if pair is None:
+            x, shifts = index[v], []
+            for d, st, rep in inner:
+                s = x // st % d
+                if s:
+                    down = (d - s) * st
+                    shifts.append((((1 << down) - 1) * rep, s * st, down))
+            built[v] = pair = shifts, x - x % top
+        return pair
+
+    return move
 
 
 def _min_product_one_pick(pairs, n: int):
@@ -177,7 +182,10 @@ def _min_product_one_pick(pairs, n: int):
     each level costs O(L * rank) shifts of phi(n)-bit masks.  The walk
     back reads levels below the answer's only, so the last level stops
     at the first start whose suffix union holds the identity and is
-    never stored.
+    never stored.  A unit's translation is built at the first start a
+    level reaches it, so when level 2 stops after a few starts, as it
+    does at a length-2 answer, the units at the starts it never reaches
+    are never translated.
     """
     L = len(pairs)
     values = [v for _, v in pairs]
@@ -191,7 +199,7 @@ def _min_product_one_pick(pairs, n: int):
     for start in range(L - 1, -1, -1):  # j = 1: each unit on its own
         acc |= 1 << index[values[start]]
         cur[start] = acc
-    moves = _translations(values, index, orders)
+    move = _translations(index, orders)
     j = 1
     while not acc & 1:
         if j >= L:
@@ -200,7 +208,7 @@ def _min_product_one_pick(pairs, n: int):
         prev, cur, acc = cur, [0] * (L + 1), 0
         for start in range(L - 1, -1, -1):
             m = prev[start + 1]
-            shifts, up = moves[start]
+            shifts, up = move(values[start])
             for low, a, b in shifts:
                 kept = m & low
                 m = kept << a | (m ^ kept) >> b

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import ebmod.davenport as dav_mod
-from ebmod import certify
+from ebmod import certify, search
 from ebmod.arith import factorize
 from ebmod.davenport import (
     DavenportResult,
@@ -204,13 +204,13 @@ def test_a_decided_value_does_not_answer_a_call_at_another_budget():
 
 
 def test_davenport_91_decides_within_ten_thousand_states(monkeypatch):
-    real = FreeSearch._tick
+    real = search._Meter.tick
 
     def capped(self):
         real(self)
-        assert self.states_used <= 10_000, "the walk should need no refutation"
+        assert self.states <= 10_000, "the walk should need no refutation"
 
-    monkeypatch.setattr(FreeSearch, "_tick", capped)
+    monkeypatch.setattr(search._Meter, "tick", capped)
     davenport_exact.cache_clear()
     r = davenport_exact(91)
     assert r.value == 17 and not r.method.endswith(" + construction")

@@ -116,16 +116,18 @@ def brute_allowed(engine: FreeSearch, monoid, forbidden: set[int], seq) -> int:
 
 def child_allowed(engine: FreeSearch, A: int, a: int) -> int:
     """The child of the state A by the usable a, built as the engine's
-    walk builds it: a's preimage table read at the nonzero bytes of A,
-    and the union intersected with A.  That is the allowed set after
-    appending a, cut to the floor ideal J_a; on the label-order and
-    residue engines J_a is the whole monoid, so there it is the allowed
-    set itself, and test_reach_from_a_floor_reads_only_the_floor_ideal
-    pins the cut on M(n) in its search order."""
+    walk builds it: a's preimage table read at index c << 8 | b for each
+    nonzero byte b, the c-th, of A, and the union intersected with A.
+    That is the allowed set after appending a, cut to the floor ideal
+    J_a; on the label-order and residue engines J_a is the whole monoid,
+    so there it is the allowed set itself, and
+    test_reach_from_a_floor_reads_only_the_floor_ideal pins the cut on
+    M(n) in its search order."""
     table = engine._tables[a] or engine._build_table(a)
     pre = 0
-    for cb in engine._chunks(A):
-        pre |= table[cb]
+    for c, b in enumerate(A.to_bytes(engine._nbytes, "little")):
+        if b:
+            pre |= table[c << 8 | b]
     return A & pre
 
 
@@ -436,18 +438,21 @@ def test_reach_matches_brute_extensions(n):
                 assert T == brute_allowed(engine, monoid, forbidden, seq + (labels[a],))
 
 
+def power_multiplicity(monoid, A: int, b: int) -> int:
+    """mult_A(b): the number of leading powers b, b^2, ... that lie in
+    the set A, by the monoid's own product rule."""
+    count, x = 0, b
+    for _ in monoid.labels:
+        if not A >> x & 1:
+            break
+        count += 1
+        x = monoid.product(x, b)
+    return count
+
+
 def power_sum(monoid, A: int, floor: int) -> int:
-    """The sum over the b in the set A with b >= floor of the number of
-    leading powers b, b^2, ... that lie in A."""
-    total = 0
-    for b in range(floor, len(monoid.labels)):
-        x = b
-        for _ in monoid.labels:
-            if not A >> x & 1:
-                break
-            total += 1
-            x = monoid.product(x, b)
-    return total
+    """The sum of mult_A(b) over the b in the set A with b >= floor."""
+    return sum(power_multiplicity(monoid, A, b) for b in range(floor, len(monoid.labels)))
 
 
 def test_power_bound_is_necessary():
@@ -656,6 +661,82 @@ def test_reach_from_a_floor_reads_only_the_floor_ideal(n):
                         assert child_allowed(engine, A, a) == expected & engine._ideal[a]
         if kind == "S":
             assert cut or not engine._usable & ~units, "no state was cut"
+
+
+def test_the_power_cut_matches_its_definition():
+    # _cut from every floor and for every r <= 12, on seeded states A: the
+    # allowed sets of seeded free sequences and random subsets of the
+    # usable set.  The definition in the module docstring: sum mult_A(b)
+    # over the b in A, b itself counted, from the top of A down, and keep
+    # A's terms from the floor up to the b at which the sum reaches r; 0
+    # when it stays short.  Over M(n) in its search order, M(n) in label
+    # order and the units, n <= 40; some cuts are 0, and some stop at a b
+    # whose higher powers lie in A
+    rng = random.Random(23)
+    short = powers = 0
+    for n in range(3, 41):
+        for kind, engine, monoid, forbidden in floor_ideal_setups(n):
+            labels = [monoid.labels[a] for a in engine.candidates]
+            states = [
+                brute_allowed(engine, monoid, forbidden, seq)
+                for seq in _random_free_sequences(n, labels, forbidden, rng, 3, 4)
+            ]
+            states += [rng.getrandbits(engine.size) & engine._usable for _ in range(3)]
+            for A in states:
+                mult = {
+                    b: power_multiplicity(monoid, A, b)
+                    for b in range(engine.size)
+                    if A >> b & 1
+                }
+                for floor in range(engine.size + 1):
+                    top_down = sorted((b for b in mult if b >= floor), reverse=True)
+                    for r in range(1, 13):
+                        expected, total = 0, 0
+                        for b in top_down:
+                            total += mult[b]
+                            if total >= r:
+                                expected = _mask(x for x in mult if floor <= x <= b)
+                                powers += mult[b] > 1
+                                break
+                        short += expected == 0
+                        assert engine._cut(A, floor, r) == expected, (n, kind, A, floor, r)
+    assert min(short, powers) > 0, (short, powers)
+
+
+@pytest.mark.parametrize("n", (12, 30, 36, 40))
+def test_preimage_tables_hold_every_brute_preimage_set(n):
+    # Every entry of _build_table(a), all subsets of each 8-element chunk,
+    # against the usable x in the floor ideal J_a, taken by its
+    # definition, with a*x in the subset, by the monoid's own product
+    # rule.  On M(n) in its search order, for its first usable unit and
+    # its first usable non-unit, whose image misses every unit, so that
+    # its rows of preimages include zeros.  M(n) has 12, 15, 32 and 35
+    # elements, so the last chunk is partial at all but 36
+    m = n // 2 if n % 4 == 2 else n  # the units of M(n) are those mod m
+    M = _quotient_monoid(factorize(n))
+    S = M.reindexed(M.order())
+    engine = FreeSearch(S, SearchBudget())
+    size = engine.size
+    unit = [gcd(S.labels[k], m) == 1 for k in range(size)]
+    terms = (
+        next(a for a in engine.candidates if unit[a]),
+        next(a for a in engine.candidates if not unit[a]),
+    )
+    for a in terms:
+        J = _mask(S.product(u, y) for u in engine.candidates if u >= a for y in range(size))
+        image = {x: S.product(x, a) for x in engine.candidates if J >> x & 1}
+        if not unit[a]:
+            assert any(unit[y] for y in range(size)) and not any(
+                unit[y] for y in image.values()
+            ), a
+        table = engine._build_table(a)
+        assert len(table) == sum(1 << min(8, size - base) for base in range(0, size, 8))
+        for base in range(0, size, 8):
+            for subset in range(1 << min(8, size - base)):
+                expected = _mask(
+                    x for x, y in image.items() if 0 <= y - base < 8 and subset >> y - base & 1
+                )
+                assert table[base // 8 << 8 | subset] == expected, (a, base, subset)
 
 
 def test_image_tables_are_built_on_first_use():
