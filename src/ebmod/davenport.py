@@ -85,7 +85,7 @@ def _unit_monoid(n: int) -> Monoid:
     at element 1, as in ebconstant's M(n), so the forbidden mask 1 << 1
     marks a Davenport engine in the tests and in perfbench's tracer.
     The engine drops the forbidden unit 1 from the candidates.  Its
-    symmetries are the power maps of the units' CRT components
+    symmetries generate the power maps of the units' CRT components
     (unitgroup.power_automorphisms), which fix 0."""
     labels = [0, *units(n)]
     index = [0] * n

@@ -118,9 +118,9 @@ def _quotient_monoid(f: Factorization) -> Monoid:
     residue.  A residue's class is its image in every component p^k != 2:
     its unit part u = r mod p^k when p does not divide r, else
     gcd(r, p^k) = p^min(v_p(r), k).  An element is idempotent when every
-    component is the unit 1 or p^k.  Its symmetries are the power maps
-    of the components' unit parts (unitgroup.power_automorphisms), and
-    its search order is _search_order's."""
+    component is the unit 1 or p^k.  Its symmetries generate the power
+    maps of the components' unit parts (unitgroup.power_automorphisms),
+    and its search order is _search_order's."""
     n = f.n
     components = [(p, k) for p, k in f.factors if p ** k != 2]
     moduli = [(p, p ** k) for p, k in components]

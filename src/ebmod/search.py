@@ -154,27 +154,30 @@ Key facts the engine leans on:
   the one walk, reads the entry of each child where it builds it, and
   the probes and a witness walk on one engine share its memo.
 
-* Symmetry.  Let G be a set of automorphisms of the monoid that fix the
-  forbidden mask and the candidates, as Monoid.symmetries lists them.
-  Each g in G maps free sequences of length r to free sequences of
-  length r: g maps the product set onto the image's product set, and a
-  product avoids the forbidden mask exactly when its image does.  Let
-  s* = (a, b, ...) be the lexicographically smallest free sequence of
-  length r, sorted.  The smallest term of the sorted image g(s*) is at
-  most g(a), and its two smallest terms are at most those of sorted(g(a),
-  g(b)), term by term.  So g(a) < a, or sorted(g(a), g(b)) <_lex (a, b),
-  would make sorted g(s*) <_lex s*, against the choice of s*.  Hence
-  when some free sequence of length r exists, one exists whose first
-  term a has g(a) >= a for every g in G and whose second term b has
-  sorted(g(a), g(b)) >= (a, b) for every g in G, and a probe that tries
-  only such first two terms has the unpruned probe's verdict; G need not
-  be a group.  The power bound still applies, since s* is among the
-  extensions it keeps.  A root child's verdict in such a probe then
-  depends on its first term, so the child is neither read from the memo
-  nor written to it; states at depth >= 2 try every next term, so their
-  entries stay exact.  Every probe prunes; the witness walk tries every
-  term and reads from a probe's memo only those exact entries, so the
-  witness cannot move.
+* Symmetry.  Let G be the group generated by the automorphisms
+  Monoid.symmetries lists; each fixes the forbidden mask and the
+  candidates, so every g in G does.  Each g in G maps free sequences of
+  length r to free ones: g maps the product set onto the image's product
+  set, and a product avoids the forbidden mask exactly when its image
+  does.  Let s* = (a, b, ...) be the lexicographically smallest free
+  sequence of length r, sorted.  The smallest term of the sorted image
+  g(s*) is at most g(a), and its two smallest terms are at most those of
+  sorted(g(a), g(b)), term by term.  So g(a) < a, or sorted(g(a), g(b))
+  <_lex (a, b), would make sorted g(s*) <_lex s*, against the choice of
+  s*.  Hence if a free sequence of length r exists, one exists whose
+  first term a, and pair (a, b) of first two terms, are each the least
+  of their orbit under G, and a probe that tries only such first two
+  terms has the unpruned probe's verdict.  A union-find that joins each
+  pair a <= b of usable elements to sorted(g(a), g(b)) for each listed g
+  has the orbits as its classes, since G is finite and so each g^-1 is a
+  power of g.  And a is least in its orbit exactly when (a, a) is, the
+  orbit of (a, a) being the pairs (g(a), g(a)).  The power bound still
+  applies, since s* is among the extensions it keeps.  A root child's
+  verdict in such a probe then depends on its first term, so the child
+  is neither read from the memo nor written to it; states at depth >= 2
+  try every next term, so their entries stay exact.  Every probe prunes;
+  the witness walk tries every term and reads from a probe's memo only
+  those exact entries, so the witness cannot move.
 
 * Search order.  A probe's verdict does not depend on the order in which
   the engine enumerates.  Rename the elements by a permutation pi,
@@ -199,9 +202,9 @@ Key facts the engine leans on:
   total order.  The memo's floor rules use only that the elements >= g
   include those >= f when g <= f, again true in any total order, and an
   engine's memo is keyed on cut sets in its own indices, so no entry
-  passes between engines.  Symmetry: for g in G, pi g pi^-1 is an
-  automorphism of the renamed monoid fixing its forbidden mask and
-  candidates, which is how Monoid.reindexed maps the symmetries, and the
+  passes between engines.  Symmetry: Monoid.reindexed maps each listed
+  g to pi g pi^-1, an automorphism of the renamed monoid fixing its
+  forbidden mask and candidates, and these generate pi G pi^-1; the
   argument above picks s* lexicographically smallest in whatever order
   the indices have.  So the gallop's probes may run on an engine over
   the monoid renamed in a search order the caller hands over
@@ -295,15 +298,15 @@ class Monoid(NamedTuple):
     and a product of two of them must be one of them or forbidden, and
     forbidden when it is idempotent, as the allowed-set state and strict
     growth of the module docstring require.  symmetries() lists
-    automorphisms of the monoid as index permutations, each fixing the
-    forbidden mask and the candidates, for the engine's probes (Symmetry
-    in the module docstring); the engine calls it on its first probe
-    only, and the default lists none.  order() lists the elements in the
-    search order of those probes, order()[k] becoming element k of the
-    engine they run on (Search order in the module docstring);
-    longest_free calls it once, when its bracket leaves a probe to run,
-    and the default lists none, so the probes run on the monoid itself
-    and the witness walk reuses their engine."""
+    generators of a group of automorphisms of the monoid that fixes the
+    forbidden mask and the candidates, as index permutations, for the
+    engine's probes (Symmetry in the module docstring); the engine calls
+    it on its first probe only, and the default lists none.  order()
+    lists the elements in the search order of those probes, order()[k]
+    becoming element k of the engine they run on (Search order in the
+    module docstring); longest_free calls it once, when its bracket
+    leaves a probe to run, and the default lists none, so the probes run
+    on the monoid itself and the witness walk reuses their engine."""
 
     n: int
     labels: Sequence[int]
@@ -395,15 +398,14 @@ class FreeSearch:
     run here: longest_free runs them before it builds the monoid.  A
     candidate's preimage table is built on the first child it makes,
     and an element's powers on the first power bound that reads them,
-    so a walk that tries few candidates builds few of either; the
-    monoid's symmetries are read on the first probe.  An engine
+    so a walk that tries few candidates builds few of either; the orbits
+    of the monoid's symmetries are found on the first probe.  An engine
     made with another's meter draws on its state count and deadline."""
 
     def __init__(
         self, monoid: Monoid, budget: SearchBudget, meter: _Meter | None = None
     ):
         self.size = size = len(monoid.labels)
-        self.product = monoid.product
         # the product rule read directly where rows of products are built
         self._labels, self._index, self._n = labels, index, n = (
             monoid.labels, monoid.index, monoid.n
@@ -432,12 +434,11 @@ class FreeSearch:
         self._meter = meter or _Meter(budget)
         self._tables: list[list[int] | None] = [None] * size
         self._powers: list[list[int] | None] = [None] * size
-        # the automorphisms, the first terms they leave and, per first
-        # term, the second terms: built on the first probe
         self._symmetries = monoid.symmetries
-        self._group: list[Sequence[int]] | None = None
+        # built on the first probe: the orbit-least first terms and, per
+        # first term a, the b with (a, b) orbit-least; [] with no generator
         self._minima = 0
-        self._pairs: list[int | None] = [None] * size
+        self._pairs: list[int] | None = None
 
     def _build_table(self, a: int) -> list[int]:
         """Per 8-bit chunk c of an allowed set, the usable x in the floor
@@ -576,19 +577,41 @@ class FreeSearch:
         return self._next(A, terms, r) is not None
 
     def _symmetric(self) -> bool:
-        """Build the group and its first terms on the first call; is it
-        nontrivial?"""
-        if self._group is None:
-            self._group = group = list(self._symmetries())
-            self._minima = sum(
-                1 << a for a in self.candidates if all(g[a] >= a for g in group)
-            )
-        return bool(self._group)
+        """Are there generators?  The first call reads them and runs the
+        union-find of Symmetry in the module docstring, rooting each class
+        of pairs a <= b at its least index a*size + b, its least pair."""
+        if self._pairs is None:
+            gens = list(self._symmetries())
+            size, cands = self.size, self.candidates
+            parent = list(range(size * size))
+
+            def root(x: int) -> int:
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]  # path halving
+                    x = parent[x]
+                return x
+
+            for g in gens:
+                for i, a in enumerate(cands):
+                    ga = g[a]
+                    for b in cands[i:]:
+                        gb = g[b]
+                        x = root(a * size + b)
+                        y = root(ga * size + gb if ga <= gb else gb * size + ga)
+                        lo, hi = (x, y) if x < y else (y, x)
+                        parent[hi] = lo
+            self._pairs = [0] * size if gens else []
+            for i, a in enumerate(cands if gens else ()):
+                for b in cands[i:]:
+                    if parent[a * size + b] == a * size + b:
+                        self._pairs[a] |= 1 << b
+                self._minima |= self._pairs[a] & 1 << a
+        return bool(self._pairs)
 
     def _pruned(self, terms: int, r: int) -> bool:
         """exists_free(r) over the first terms in `terms` and, after each
-        first term a, the second terms _pair_terms(a) leaves.  A root
-        child's verdict then depends on a, so it is not memoized."""
+        first term a, the second terms _pairs[a] leaves.  A root child's
+        verdict then depends on a, so it is not memoized."""
         A, rest = self._usable, r - 1
         if not rest:
             return terms != 0
@@ -597,25 +620,10 @@ class FreeSearch:
             terms ^= low
             a = low.bit_length() - 1
             _, T = self._next(A, low, 1)  # a's child, built without the memo
-            sub = self._cut(T, a, rest) & self._pair_terms(a)
+            sub = self._cut(T, a, rest) & self._pairs[a]
             if sub and self._next(T, sub, rest) is not None:
                 return True
         return False
-
-    def _pair_terms(self, a: int) -> int:
-        """The usable b >= a with sorted(g(a), g(b)) >= (a, b) for every g
-        in the group, built on the first call per a."""
-        pairs = self._pairs[a]
-        if pairs is None:
-            pairs = 0
-            for b in range(a, self.size):
-                if self._usable >> b & 1 and all(
-                    (a, b) <= ((g[a], g[b]) if g[a] <= g[b] else (g[b], g[a]))
-                    for g in self._group
-                ):
-                    pairs |= 1 << b
-            self._pairs[a] = pairs
-        return pairs
 
     def witness(self, length: int) -> tuple[int, ...]:
         """Lexicographically smallest free sequence of the given length,

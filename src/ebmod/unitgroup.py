@@ -7,14 +7,13 @@ sequence, and log_index writes every unit as an exponent vector over
 those generators: the product-one DP of sequences indexes units by
 those vectors, where multiplying by a unit is a translation.  Witnesses
 stay residues, multiplied mod n, so checking one needs no discrete
-logarithm.  power_automorphisms hands the search engine the power maps
-of each CRT component, which permute the elements of a monoid and fix
-its idempotents.
+logarithm.  power_automorphisms hands the search engine generators of
+the power maps of each CRT component, which permute the elements of a
+monoid and fix its idempotents.
 """
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
 from math import gcd, prod
 from typing import Sequence
 
@@ -153,22 +152,17 @@ def log_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
     return index, tuple(d for _, d in gens)
 
 
-def _exponent(p: int, k: int) -> int:
-    """Carmichael's lambda(p^k), the exponent of (Z/p^kZ)^x."""
-    if p == 2 and k >= 3:
-        return 2 ** (k - 2)
-    return p ** (k - 1) * (p - 1)
-
-
 def power_automorphisms(
     components: Sequence[tuple[int, int]], keys: Sequence[tuple[int, ...]]
 ) -> list[list[int]]:
-    """Index permutations of the maps that raise the unit part of each
-    component p^k to a power e with gcd(e, lambda(p^k)) = 1 and fix the
-    other elements of the component, one per choice of exponents mod
-    lambda(p^k) other than all 1.  keys[i] is element i's tuple of
-    images, one per component, a unit mod p^k or a multiple of p, and
-    distinct elements have distinct keys that the maps permute.
+    """Index permutations of generators of the power maps: the maps that
+    raise the unit part of each component p^k to a power e with
+    gcd(e, lambda(p^k)) = 1 and fix every other component.  Per
+    component, one map per invariant generator e of (Z/lambda(p^k)Z)^x;
+    exponents multiply under composition, so these generate every choice
+    of exponents.  keys[i] is element i's tuple of images, one per
+    component, a unit mod p^k or a multiple of p, and distinct elements
+    have distinct keys that the maps permute.
 
     On U(p^k) such a power map is an automorphism, since the exponent is
     invertible mod the group's exponent, and it fixes a non-unit image
@@ -176,20 +170,16 @@ def power_automorphisms(
     ebconstant's M(n) each is a monoid automorphism, and it fixes the
     idempotents, whose unit parts are 1."""
     where = {key: i for i, key in enumerate(keys)}
-    choices = []
-    for p, k in components:
-        lam = _exponent(p, k)
-        choices.append([e for e in range(1, lam + 1) if gcd(e, lam) == 1])
-    moduli = [(p, p ** k) for p, k in components]
     perms = []
-    for es in product(*choices):
-        if all(e == 1 for e in es):
-            continue
-        perms.append([
-            where[tuple(
-                pow(c, e, q) if c % p else c
-                for c, e, (p, q) in zip(key, es, moduli)
-            )]
-            for key in keys
-        ])
+    for j, (p, k) in enumerate(components):
+        q = p ** k
+        # lambda(p^k), the exponent of U(p^k), is its largest invariant
+        # factor; (Z/lam Z)^x is trivial for lam <= 2
+        lam = max(unit_group_shape(factorize(q)), default=1)
+        for e, _ in invariant_generators(factorize(lam)) if lam > 2 else ():
+            images = [
+                (*key[:j], pow(key[j], e, q) if key[j] % p else key[j], *key[j + 1 :])
+                for key in keys
+            ]
+            perms.append([where[image] for image in images])
     return perms

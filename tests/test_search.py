@@ -301,8 +301,11 @@ def test_image_matches_reference_on_arbitrary_masks(n):
     # added, pre(t) being the usable x with t*x forbidden, and the child's
     # allowed set is the rest of the usable set; an arbitrary mask A
     # gives the child {x in A : a*x in A}, the table read on its own
-    for engine in (eb_engine(n), quotient_engine(n)):
-        size, product = engine.size, engine.product
+    _, eb_candidates, eb_forbidden, _ = eb_args(n)
+    eb_monoid = residue_monoid(n, eb_forbidden, eb_candidates)
+    for monoid in (eb_monoid, _quotient_monoid(factorize(n))):
+        engine = FreeSearch(monoid, SearchBudget())
+        size, product = engine.size, monoid.product
         pre = [
             _mask(x for x in engine.candidates if engine.forbidden >> product(t, x) & 1)
             for t in range(size)
@@ -567,13 +570,13 @@ def floor_ideal_setups(n: int) -> list[tuple]:
     ]
 
 
-def brute_longest(engine: FreeSearch, P: int, floor: int, fits) -> int:
+def brute_longest(engine: FreeSearch, monoid, P: int, floor: int, fits) -> int:
     """The most nondecreasing usable terms >= floor that extend a sequence
     whose product-set mask is P (0 for the empty sequence) with every
     joined product set passing fits: exhaustive over the joined product
     sets, P | {b} | P*b after the term b."""
     terms = [b for b in engine.candidates if b >= floor]
-    product = engine.product
+    product = monoid.product
 
     @functools.cache
     def longest(P: int, i: int) -> int:
@@ -648,9 +651,9 @@ def test_reach_from_a_floor_reads_only_the_floor_ideal(n):
             A = brute_allowed(engine, monoid, forbidden, seq)
             for f in {units.bit_length(), rng.randrange(engine.size // 2, engine.size + 1)}:
                 J = engine._ideal[f]
-                whole = brute_longest(engine, P, f, lambda Q: not Q & engine.forbidden)
-                assert brute_longest(engine, 0, f, lambda Q: not Q & ~A) == whole
-                assert brute_longest(engine, 0, f, lambda Q: not Q & ~(A & J)) == whole
+                whole = brute_longest(engine, monoid, P, f, lambda Q: not Q & engine.forbidden)
+                assert brute_longest(engine, monoid, 0, f, lambda Q: not Q & ~A) == whole
+                assert brute_longest(engine, monoid, 0, f, lambda Q: not Q & ~(A & J)) == whole
                 cut += kind == "S" and J != 0 and A & ~J != 0
             if kind == "S":
                 for a in engine.candidates:
@@ -863,18 +866,42 @@ def test_a_budget_that_bounds_nothing_is_refused(kwargs):
 
 
 def _symmetric_monoids(n: int) -> list:
-    """M(n) and the units with 0 adjoined, as eb_exact and davenport_exact
-    build them, each handing over its power automorphisms."""
-    return [_quotient_monoid(factorize(n)), _unit_monoid(n)]
+    """(M(n), its components) and (the units with 0 adjoined, theirs), as
+    eb_exact and davenport_exact build them, each handing over generators
+    of the power maps of its components p^k; M(n) drops the Z/2 one."""
+    components = factorize(n).factors
+    return [
+        (_quotient_monoid(factorize(n)), [(p, k) for p, k in components if p ** k != 2]),
+        (_unit_monoid(n), components),
+    ]
+
+
+def _closure(gens, size: int) -> set[tuple[int, ...]]:
+    """The group the permutations gens generate: every composition of
+    them, closed from the identity.  A reference for the engine, which
+    never lists the group."""
+    identity = tuple(range(size))
+    group, todo = {identity}, [identity]
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            gh = tuple(g[x] for x in h)
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return group
 
 
 @pytest.mark.parametrize("n", range(2, 61))
 def test_symmetries_are_automorphisms_fixing_the_forbidden_and_candidates(n):
-    for monoid in _symmetric_monoids(n):
+    # each generator is a monoid automorphism fixing the forbidden mask and
+    # the candidates, and together they generate the whole group of power
+    # maps, (Z/lambda(p^k)Z)^x per component, not a smaller one
+    for monoid, components in _symmetric_monoids(n):
         size = len(monoid.labels)
-        group = list(monoid.symmetries())
+        gens = list(monoid.symmetries())
         candidates = set(monoid.candidates)
-        for g in group:
+        for g in gens:
             assert sorted(g) == list(range(size)) and g != list(range(size))
             forbidden = [x for x in range(size) if monoid.forbidden >> x & 1]
             assert _mask(g[x] for x in forbidden) == monoid.forbidden
@@ -882,25 +909,39 @@ def test_symmetries_are_automorphisms_fixing_the_forbidden_and_candidates(n):
             for x in range(size):
                 for y in range(size):
                     assert g[monoid.product(x, y)] == monoid.product(g[x], g[y])
-        assert len({tuple(g) for g in group}) == len(group)
+        assert len({tuple(g) for g in gens}) == len(gens)
+        order = 1
+        for p, k in components:
+            lam = 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1)
+            order *= sum(1 for e in range(lam) if gcd(e, lam) == 1)
+        assert len(_closure(gens, size)) == order, (n, components)
 
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_smallest_free_sequences_pass_the_symmetry_rules(n):
-    # the lexicographically smallest free sequence of every length starts
-    # at an orbit minimum, and its first two terms are the smallest pair
-    # of their images under every g: the rules a pruned probe applies
-    for monoid in _symmetric_monoids(n):
+    # the engine's union-find keeps exactly the orbit-least first terms
+    # and, per first term a, the b whose pair (a, b) is the least of its
+    # orbit, under the group the generators generate; and the
+    # lexicographically smallest free sequence of every length passes
+    # both rules, the ones a pruned probe applies
+    for monoid, _ in _symmetric_monoids(n):
         engine = FreeSearch(monoid, SearchBudget())
         if not engine._symmetric():
             continue
+        group = _closure(monoid.symmetries(), engine.size)
+        usable = engine.candidates
+        assert engine._minima == _mask(a for a in usable if all(g[a] >= a for g in group))
+        for a in range(engine.size):
+            least = [
+                b for b in usable
+                if a in usable and b >= a
+                and all(sorted((g[a], g[b])) >= [a, b] for g in group)
+            ]
+            assert engine._pairs[a] == _mask(least), a
         length = 1
         while engine.exists_free(length):
             w = engine.witness(length)
-            assert engine._minima >> w[0] & 1, (length, w)
-            if length > 1:
-                assert engine._pair_terms(w[0]) >> w[1] & 1, (length, w)
-            for g in engine._group:
+            for g in group:
                 assert g[w[0]] >= w[0]
                 if length > 1:
                     assert sorted((g[w[0]], g[w[1]])) >= [w[0], w[1]]
@@ -940,7 +981,7 @@ def test_symmetry_keeps_every_answer_and_never_adds_states(monkeypatch, n):
         assert pruned.states <= plain.states, (pruned.states, plain.states)
 
 
-def test_the_group_is_built_on_the_first_pruned_probe_only():
+def test_the_generators_are_read_and_the_union_find_built_once_per_engine():
     calls = []
     M = _quotient_monoid(factorize(44))
 
@@ -948,11 +989,13 @@ def test_the_group_is_built_on_the_first_pruned_probe_only():
         calls.append(1)
         return M.symmetries()
 
-    # the witness walk tries every term and never reads the group
+    # the witness walk tries every term and reads no generator; the first
+    # probe reads them and builds the orbit minima, which the next reuses
     engine = FreeSearch(M._replace(symmetries=symmetries), SearchBudget())
-    assert engine.witness(11) and calls == []
+    assert engine.witness(11) and calls == [] and engine._pairs is None
     assert not engine.exists_free(12)
-    assert engine.exists_free(11) and calls == [1]
+    pairs = engine._pairs
+    assert engine.exists_free(11) and calls == [1] and engine._pairs is pairs
 
 
 @pytest.mark.parametrize("n", range(2, 61))
