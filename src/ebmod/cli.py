@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from math import isfinite
 
 from . import certify
@@ -246,9 +245,9 @@ _VERIFY_FIELDS = (
 
 
 def _fields(rep, keys, **extra) -> dict:
-    """The named fields of a report: dataclasses.asdict plus extras."""
-    record = {**asdict(rep), **extra}
-    return {k: record[k] for k in keys}
+    """The named fields of a report, read as attributes (they hold ints,
+    strings and tuples, none of which needs a copy), and the extras."""
+    return {k: extra[k] if k in extra else getattr(rep, k) for k in keys}
 
 
 def cmd_verify(args) -> int:

@@ -86,18 +86,16 @@ def _unit_monoid(n: int) -> Monoid:
     marks a Davenport engine in the tests and in perfbench's tracer.
     The engine drops the forbidden unit 1 from the candidates.  Its
     symmetries generate the power maps of the units' CRT components
-    (unitgroup.power_automorphisms), which fix 0."""
+    (unitgroup.power_automorphisms), which read a unit as itself mod
+    each component and fix 0, whose key is no unit's."""
     labels = [0, *units(n)]
     index = [0] * n
     for i, a in enumerate(labels):
         index[a] = i
-
-    def symmetries():
-        components = factorize(n).factors
-        keys = [tuple(a % p ** k for p, k in components) for a in labels]
-        return power_automorphisms(components, keys)
-
-    return Monoid(n, labels, index, 1 << 1, range(1, len(labels)), symmetries)
+    return Monoid(
+        n, labels, index, 1 << 1, range(1, len(labels)),
+        lambda: power_automorphisms(factorize(n), labels),
+    )
 
 
 # A repeated call with equal arguments returns the same object; a call

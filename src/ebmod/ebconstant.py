@@ -53,7 +53,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from math import gcd
 
 from . import certify
 from .arith import Factorization, factorize, lift_to_unit
@@ -61,7 +60,7 @@ from .davenport import davenport_exact
 from .errors import DomainError, InconsistencyError, UndecidedError
 from .search import Monoid, SearchBudget, longest_free
 from .sequences import ResidueSequence, _min_product_one_pick, find_product_one_subsequence
-from .unitgroup import power_automorphisms
+from .unitgroup import crt_key, power_automorphisms
 
 STATUS_EXACT = "exact"
 STATUS_UNDECIDED = "undecided-at-budget"
@@ -115,34 +114,33 @@ def _quotient_size(f: Factorization) -> tuple[int, int]:
 
 def _quotient_monoid(f: Factorization) -> Monoid:
     """M(n), its elements indexed in increasing order of their smallest
-    residue.  A residue's class is its image in every component p^k != 2:
-    its unit part u = r mod p^k when p does not divide r, else
-    gcd(r, p^k) = p^min(v_p(r), k).  An element is idempotent when every
-    component is the unit 1 or p^k.  Its symmetries generate the power
-    maps of the components' unit parts (unitgroup.power_automorphisms),
-    and its search order is _search_order's."""
+    residue.  A residue's class is its unitgroup.crt_key over the
+    components p^k != 2 (see the module docstring).  An element is
+    idempotent when every component is the unit 1 or p^k, and a unit
+    when every one is a unit.  Its symmetries generate the power maps of
+    the components' unit parts (unitgroup.power_automorphisms, which
+    reads the same keys), and its search order is _search_order's."""
     n = f.n
-    components = [(p, k) for p, k in f.factors if p ** k != 2]
-    moduli = [(p, p ** k) for p, k in components]
+    moduli = [(p, p ** k) for p, k in f.factors if p ** k != 2]
     first: dict[tuple[int, ...], int] = {}
     labels: list[int] = []
     index: list[int] = []
+    units: list[bool] = []
     forbidden = 0
     for r in range(n):
-        key = tuple(_component(r, p, q) for p, q in moduli)
+        key = crt_key(r, moduli)
         i = first.get(key)
         if i is None:
             i = first[key] = len(labels)
             labels.append(r)
             if all(c == 1 or c == q for c, (_, q) in zip(key, moduli)):
                 forbidden |= 1 << i
+            units.append(all(c % p for c, (p, _) in zip(key, moduli)))
         index.append(i)
-    keys = list(first)
     M = Monoid(
         n, labels, index, forbidden, range(len(labels)),
-        lambda: power_automorphisms(components, keys),
+        lambda: power_automorphisms(f, labels),
     )
-    units = [all(c % p for c, (p, _) in zip(key, moduli)) for key in keys]
     return M._replace(order=lambda: _search_order(M, units))
 
 
@@ -162,12 +160,6 @@ def _search_order(M: Monoid, units: list[bool]) -> list[int]:
     return sorted(
         range(len(M.labels)), key=lambda b: (not units[b], -powers(b), b)
     )
-
-
-def _component(r: int, p: int, q: int) -> int:
-    """The image of r in the component U(q) | {p, ..., q} of M(n), q = p^k."""
-    x = r % q
-    return x if x % p else gcd(x, q)
 
 
 def _davenport_or_bounds(n: int, budget: SearchBudget):

@@ -167,17 +167,21 @@ Key facts the engine leans on:
   s*.  Hence if a free sequence of length r exists, one exists whose
   first term a, and pair (a, b) of first two terms, are each the least
   of their orbit under G, and a probe that tries only such first two
-  terms has the unpruned probe's verdict.  A union-find that joins each
-  pair a <= b of usable elements to sorted(g(a), g(b)) for each listed g
-  has the orbits as its classes, since G is finite and so each g^-1 is a
-  power of g.  And a is least in its orbit exactly when (a, a) is, the
-  orbit of (a, a) being the pairs (g(a), g(a)).  The power bound still
-  applies, since s* is among the extensions it keeps.  A root child's
-  verdict in such a probe then depends on its first term, so the child
-  is neither read from the memo nor written to it; states at depth >= 2
-  try every next term, so their entries stay exact.  Every probe prunes;
-  the witness walk tries every term and reads from a probe's memo only
-  those exact entries, so the witness cannot move.
+  terms has the unpruned probe's verdict.  G is finite, so each g^-1 is
+  a power of g, and the orbit of a pair a <= b of usable elements is
+  what the listed g reach from it, acting by sorted(g(a), g(b)).  A
+  sweep of these pairs in increasing index a*size + b marks the whole
+  orbit of each pair it has not met, which is the least of its orbit:
+  a smaller pair of the orbit, swept first, would have marked it.  And
+  a is least in its orbit exactly when (a, a) is, the orbit of (a, a)
+  being the pairs (g(a), g(a)).  With no listed g, every orbit is one
+  pair.  The power bound still applies, since s* is among the
+  extensions it keeps.  A root child's verdict in such a probe then
+  depends on its first term, so the child is neither read from the
+  memo nor written to it; states at depth >= 2 try every next term, so
+  their entries stay exact.  Every probe prunes; the witness walk tries
+  every term and reads from a probe's memo only those exact entries,
+  so the witness cannot move.
 
 * Search order.  A probe's verdict does not depend on the order in which
   the engine enumerates.  Rename the elements by a permutation pi,
@@ -301,12 +305,13 @@ class Monoid(NamedTuple):
     generators of a group of automorphisms of the monoid that fixes the
     forbidden mask and the candidates, as index permutations, for the
     engine's probes (Symmetry in the module docstring); the engine calls
-    it on its first probe only, and the default lists none.  order()
-    lists the elements in the search order of those probes, order()[k]
-    becoming element k of the engine they run on (Search order in the
-    module docstring); longest_free calls it once, when its bracket
-    leaves a probe to run, and the default lists none, so the probes run
-    on the monoid itself and the witness walk reuses their engine."""
+    it on its first probe only, and the default lists none, which makes
+    every orbit one pair.  order() lists the elements in the search
+    order of those probes, order()[k] becoming element k of the engine
+    they run on (Search order in the module docstring); longest_free
+    calls it once, when its bracket leaves a probe to run, and the
+    default lists none, so the probes run on the monoid itself and the
+    witness walk reuses their engine."""
 
     n: int
     labels: Sequence[int]
@@ -399,7 +404,7 @@ class FreeSearch:
     candidate's preimage table is built on the first child it makes,
     and an element's powers on the first power bound that reads them,
     so a walk that tries few candidates builds few of either; the orbits
-    of the monoid's symmetries are found on the first probe.  An engine
+    of the monoid's symmetries are swept on the first probe.  An engine
     made with another's meter draws on its state count and deadline."""
 
     def __init__(
@@ -436,7 +441,7 @@ class FreeSearch:
         self._powers: list[list[int] | None] = [None] * size
         self._symmetries = monoid.symmetries
         # built on the first probe: the orbit-least first terms and, per
-        # first term a, the b with (a, b) orbit-least; [] with no generator
+        # first term a, the b with (a, b) orbit-least
         self._minima = 0
         self._pairs: list[int] | None = None
 
@@ -563,56 +568,16 @@ class FreeSearch:
         return None
 
     def exists_free(self, r: int) -> bool:
-        """Is there a free sequence of length r?  When the monoid lists
-        symmetries, the walk tries only the first two terms the symmetry
-        rules of the module docstring leave; the verdict is the same, and
-        the memo keeps only entries of depth >= 2 states, which stay
-        exact."""
+        """Is there a free sequence of length r?  The walk tries only the
+        first two terms the symmetry rules of the module docstring leave
+        (all, under no generator); the verdict is the same, and the memo
+        keeps only entries of depth >= 2 states, which stay exact."""
         if r <= 0:
             return True
-        A = self._usable
-        terms = self._cut(A, 0, r)
-        if self._symmetric():
-            return self._pruned(terms & self._minima, r)
-        return self._next(A, terms, r) is not None
-
-    def _symmetric(self) -> bool:
-        """Are there generators?  The first call reads them and runs the
-        union-find of Symmetry in the module docstring, rooting each class
-        of pairs a <= b at its least index a*size + b, its least pair."""
         if self._pairs is None:
-            gens = list(self._symmetries())
-            size, cands = self.size, self.candidates
-            parent = list(range(size * size))
-
-            def root(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]  # path halving
-                    x = parent[x]
-                return x
-
-            for g in gens:
-                for i, a in enumerate(cands):
-                    ga = g[a]
-                    for b in cands[i:]:
-                        gb = g[b]
-                        x = root(a * size + b)
-                        y = root(ga * size + gb if ga <= gb else gb * size + ga)
-                        lo, hi = (x, y) if x < y else (y, x)
-                        parent[hi] = lo
-            self._pairs = [0] * size if gens else []
-            for i, a in enumerate(cands if gens else ()):
-                for b in cands[i:]:
-                    if parent[a * size + b] == a * size + b:
-                        self._pairs[a] |= 1 << b
-                self._minima |= self._pairs[a] & 1 << a
-        return bool(self._pairs)
-
-    def _pruned(self, terms: int, r: int) -> bool:
-        """exists_free(r) over the first terms in `terms` and, after each
-        first term a, the second terms _pairs[a] leaves.  A root child's
-        verdict then depends on a, so it is not memoized."""
+            self._orbits()
         A, rest = self._usable, r - 1
+        terms = self._cut(A, 0, r) & self._minima
         if not rest:
             return terms != 0
         while terms:
@@ -624,6 +589,32 @@ class FreeSearch:
             if sub and self._next(T, sub, rest) is not None:
                 return True
         return False
+
+    def _orbits(self) -> None:
+        """Read the generators and set _pairs and _minima by the sweep of
+        Symmetry in the module docstring: a pair a <= b not yet met is
+        the least of its orbit, which the generators then mark."""
+        gens = list(self._symmetries())
+        size, cands = self.size, self.candidates
+        met = bytearray(size * size)
+        self._pairs = pairs = [0] * size
+        for i, a in enumerate(cands):
+            row = a * size
+            for b in cands[i:]:
+                if met[row + b]:
+                    continue
+                pairs[a] |= 1 << b
+                met[row + b] = 1
+                orbit = [(a, b)]
+                for x, y in orbit:  # runs on over the pairs appended below
+                    for g in gens:
+                        gx, gy = g[x], g[y]
+                        if gx > gy:
+                            gx, gy = gy, gx
+                        if not met[gx * size + gy]:
+                            met[gx * size + gy] = 1
+                            orbit.append((gx, gy))
+            self._minima |= pairs[a] & 1 << a
 
     def witness(self, length: int) -> tuple[int, ...]:
         """Lexicographically smallest free sequence of the given length,

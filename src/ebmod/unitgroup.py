@@ -9,7 +9,8 @@ those vectors, where multiplying by a unit is a translation.  Witnesses
 stay residues, multiplied mod n, so checking one needs no discrete
 logarithm.  power_automorphisms hands the search engine generators of
 the power maps of each CRT component, which permute the elements of a
-monoid and fix its idempotents.
+monoid and fix its idempotents; it reads each element through crt_key,
+a residue's images in the components.
 """
 from __future__ import annotations
 
@@ -152,27 +153,34 @@ def log_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
     return index, tuple(d for _, d in gens)
 
 
-def power_automorphisms(
-    components: Sequence[tuple[int, int]], keys: Sequence[tuple[int, ...]]
-) -> list[list[int]]:
-    """Index permutations of generators of the power maps: the maps that
-    raise the unit part of each component p^k to a power e with
+def crt_key(r: int, moduli: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """r's image in each component (p, q = p^k) of moduli: r mod q when p
+    does not divide r, else gcd(r, q) = p^min(v_p(r), k).  Over the
+    q != 2 of n it is r's class in ebconstant's M(n); 0's is no unit's."""
+    return tuple(r % q if r % p else gcd(r, q) for p, q in moduli)
+
+
+def power_automorphisms(f: Factorization, labels: Sequence[int]) -> list[list[int]]:
+    """Index permutations of generators of the power maps on the elements
+    labelled `labels` mod f.n, each read as its crt_key over the
+    components p^k != 2 (the keys must be distinct): the maps that raise
+    the unit part of each component to a power e with
     gcd(e, lambda(p^k)) = 1 and fix every other component.  Per
     component, one map per invariant generator e of (Z/lambda(p^k)Z)^x;
     exponents multiply under composition, so these generate every choice
-    of exponents.  keys[i] is element i's tuple of images, one per
-    component, a unit mod p^k or a multiple of p, and distinct elements
-    have distinct keys that the maps permute.
+    of exponents.  lambda(2) = 1, so leaving out the component 2 leaves
+    out no generator.
 
     On U(p^k) such a power map is an automorphism, since the exponent is
     invertible mod the group's exponent, and it fixes a non-unit image
-    p^j, which a unit times p^j equals; so on the units mod n and on
-    ebconstant's M(n) each is a monoid automorphism, and it fixes the
-    idempotents, whose unit parts are 1."""
+    p^j, which a unit times p^j equals; so on the units mod n (with 0)
+    and on ebconstant's M(n) each is a monoid automorphism, and it fixes
+    the idempotents, whose unit parts are 1."""
+    moduli = [(p, p ** k) for p, k in f.factors if p ** k != 2]
+    keys = [crt_key(r, moduli) for r in labels]
     where = {key: i for i, key in enumerate(keys)}
     perms = []
-    for j, (p, k) in enumerate(components):
-        q = p ** k
+    for j, (p, q) in enumerate(moduli):
         # lambda(p^k), the exponent of U(p^k), is its largest invariant
         # factor; (Z/lam Z)^x is trivial for lam <= 2
         lam = max(unit_group_shape(factorize(q)), default=1)

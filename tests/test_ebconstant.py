@@ -261,12 +261,12 @@ def test_tiny_budget_brackets_contain_brute_values(monkeypatch, max_states):
             assert r.value == brute_eb(n)
 
 
-@pytest.mark.parametrize("n, max_states", ((8, 6), (10, 1), (12, 5)))
+@pytest.mark.parametrize("n, max_states", ((8, 4), (10, 1), (12, 2)))
 def test_undecided_bracket_uses_lengths_the_search_proved(monkeypatch, n, max_states):
     # With the Davenport floor weakened to 1, the bracket's low end can
     # only come from the free lengths the I(n) search proved before its
-    # budget ran out.  The budgets bind in M(n): that search takes 7
-    # states in M(8), 3 in M(10) = Z/5Z and 6 in M(12), counted over its
+    # budget ran out.  The budgets bind in M(n): that search takes 5
+    # states in M(8), 3 in M(10) = Z/5Z and 3 in M(12), counted over its
     # two engines, since the gallop's probes run on a fresh engine in the
     # search order and the witness walk then pays on the labelled one.
     monkeypatch.setattr(

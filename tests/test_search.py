@@ -917,17 +917,24 @@ def test_symmetries_are_automorphisms_fixing_the_forbidden_and_candidates(n):
         assert len(_closure(gens, size)) == order, (n, components)
 
 
+def _probed_monoids(n: int) -> list:
+    """M(n) in label order, M(n) in its search order, as the gallop's
+    probes run on it, and the units with 0 adjoined."""
+    (M, _), (U, _) = _symmetric_monoids(n)
+    return [M, M.reindexed(M.order()), U]
+
+
 @pytest.mark.parametrize("n", range(2, 41))
 def test_smallest_free_sequences_pass_the_symmetry_rules(n):
-    # the engine's union-find keeps exactly the orbit-least first terms
-    # and, per first term a, the b whose pair (a, b) is the least of its
-    # orbit, under the group the generators generate; and the
-    # lexicographically smallest free sequence of every length passes
-    # both rules, the ones a pruned probe applies
-    for monoid, _ in _symmetric_monoids(n):
+    # the engine's sweep keeps exactly the orbit-least first terms and, per
+    # first term a, the b whose pair (a, b) is the least of its orbit,
+    # under the group the generators generate: with no generator, every
+    # usable a and every usable b >= a; and the lexicographically smallest
+    # free sequence of every length passes both rules, the ones every
+    # probe applies
+    for monoid in _probed_monoids(n):
         engine = FreeSearch(monoid, SearchBudget())
-        if not engine._symmetric():
-            continue
+        engine._orbits()
         group = _closure(monoid.symmetries(), engine.size)
         usable = engine.candidates
         assert engine._minima == _mask(a for a in usable if all(g[a] >= a for g in group))
@@ -946,6 +953,52 @@ def test_smallest_free_sequences_pass_the_symmetry_rules(n):
                 if length > 1:
                     assert sorted((g[w[0]], g[w[1]])) >= [w[0], w[1]]
             length += 1
+
+
+def _orbits_by_union_find(gens, usable: list[int], size: int) -> tuple[int, list[int]]:
+    """(_minima, _pairs) as a union-find finds them: join each pair
+    a <= b of usable elements to sorted(g(a), g(b)) for every generator
+    g, rooting each class at its least index a*size + b.  A reference
+    for the engine's sweep."""
+    parent = list(range(size * size))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in gens:
+        for i, a in enumerate(usable):
+            ga = g[a]
+            for b in usable[i:]:
+                gb = g[b]
+                x = root(a * size + b)
+                y = root(ga * size + gb if ga <= gb else gb * size + ga)
+                if x < y:
+                    parent[y] = x
+                else:
+                    parent[x] = y
+    pairs = [0] * size
+    for i, a in enumerate(usable):
+        for b in usable[i:]:
+            if root(a * size + b) == a * size + b:
+                pairs[a] |= 1 << b
+    return _mask(a for a in usable if pairs[a] >> a & 1), pairs
+
+
+@pytest.mark.parametrize("n", range(2, 201))
+def test_the_orbit_sweep_matches_a_union_find(n):
+    # the sweep's orbit-least first terms and pairs are the union-find's,
+    # on every monoid a probe runs on, up to sizes the group test's
+    # closure would not reach
+    for monoid in _probed_monoids(n):
+        engine = FreeSearch(monoid, SearchBudget())
+        engine._orbits()
+        reference = _orbits_by_union_find(
+            list(monoid.symmetries()), engine.candidates, engine.size
+        )
+        assert (engine._minima, engine._pairs) == reference
 
 
 @pytest.mark.parametrize("n", range(3, 41))
@@ -981,7 +1034,7 @@ def test_symmetry_keeps_every_answer_and_never_adds_states(monkeypatch, n):
         assert pruned.states <= plain.states, (pruned.states, plain.states)
 
 
-def test_the_generators_are_read_and_the_union_find_built_once_per_engine():
+def test_the_generators_are_read_and_the_orbits_swept_once_per_engine():
     calls = []
     M = _quotient_monoid(factorize(44))
 
@@ -990,7 +1043,7 @@ def test_the_generators_are_read_and_the_union_find_built_once_per_engine():
         return M.symmetries()
 
     # the witness walk tries every term and reads no generator; the first
-    # probe reads them and builds the orbit minima, which the next reuses
+    # probe reads them and sweeps the orbits, whose minima the next reuses
     engine = FreeSearch(M._replace(symmetries=symmetries), SearchBudget())
     assert engine.witness(11) and calls == [] and engine._pairs is None
     assert not engine.exists_free(12)
