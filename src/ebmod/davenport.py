@@ -14,13 +14,14 @@ walks its lexicographically smallest witness, with no refutation.
 Every returned witness is re-verified through the independent
 product-set code path before it leaves this module.
 
-Budget exhaustion never produces a silent wrong answer.  A theorem's
-value stands when its witness walk runs out, and the classical sequence
-built from concrete generators (unitgroup.invariant_generators) becomes
-the witness.  Elsewhere, and when the engine's size guards refuse the
-search outright, it raises UndecidedError carrying the best certified
-bounds: the formula is the floor, and the ceiling is the formula in a
-theorem's class, else phi(n) (strict growth inside the unit group).
+Budget exhaustion never produces a silent wrong answer.  When a theorem
+or a refutation of the formula's length pins D at the formula and the
+witness walk runs out, the value stands with the classical sequence
+(unitgroup.invariant_generators) as witness.  Elsewhere, and when the
+engine's size guards refuse the search outright, it raises
+UndecidedError carrying the best certified bounds: the formula is the
+floor, and the ceiling is the formula in a theorem's class, else phi(n)
+(strict growth inside the unit group).
 """
 from __future__ import annotations
 
@@ -46,12 +47,12 @@ from .unitgroup import (
 class DavenportResult:
     """Exact D((Z/nZ)^x) with a maximum-length product-one-free witness
     (length value - 1).  method records how the value was vouched for:
-    "theorem: <citation>" when a theorem gives it (the witness is the
-    lexicographically smallest one, or, with " + construction" appended,
-    the classical sequence because the walk ran out of budget);
-    "formula-cross-checked" when the search outside the theorems' classes
-    agrees with the classical 1 + sum(d_i - 1) bound; plain "exhaustive"
-    when the search value exceeds it."""
+    "theorem: <citation>" when a theorem gives it; "formula-cross-checked"
+    when the search outside the theorems' classes agrees with the
+    classical 1 + sum(d_i - 1) bound; plain "exhaustive" when the search
+    value exceeds it.  The witness is the lexicographically smallest one,
+    or, with " + construction" appended to either of the first two, the
+    classical sequence because the walk ran out of budget."""
 
     n: int
     value: int
@@ -108,9 +109,10 @@ def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportR
 
     In a theorem's class the search gets the bracket [formula, formula],
     so it only walks the lexicographically smallest witness and no
-    probe runs; when that walk runs out of budget, the classical
-    sequence is the witness.  Raises UndecidedError with bounds (lo, hi)
-    when a search outside the classes runs out first, or when the
+    probe runs.  When a walk runs out with the bracket closed at the
+    formula (by the theorem or a refutation), the classical sequence is
+    the witness.  Raises UndecidedError with bounds (lo, hi) when a
+    search outside the classes runs out short of that, or when the
     engine's size guards refuse to search at all; both endpoints are
     certified (lo by an explicit free sequence or the classical
     construction, hi by the theorem in its class, else by strict
@@ -131,10 +133,11 @@ def davenport_exact(n: int, budget: SearchBudget = SearchBudget()) -> DavenportR
             method = f"theorem: {theorem}"
         else:
             method = "formula-cross-checked" if value == formula else "exhaustive"
-    elif theorem is not None and found.states:
-        # the engine was built and its walk ran out: the theorem still
-        # gives the value, and g_1^[d_1 - 1] ... g_s^[d_s - 1] a witness
-        value, method = formula, f"theorem: {theorem} + construction"
+    elif found.bounds == (formula, formula) and found.states:
+        # a built engine's walk ran out after a theorem or a refutation closed
+        # the bracket at the formula, which g_1^[d_1-1] ... g_s^[d_s-1] witnesses
+        cited = f"theorem: {theorem}" if theorem else "formula-cross-checked"
+        value, method = formula, cited + " + construction"
         gens = invariant_generators(f)
         witness = ResidueSequence(n, [g for g, d in gens for _ in range(d - 1)])
     else:

@@ -1,16 +1,16 @@
 """Structure of the unit group (Z/nZ)^x.
 
-The shape (invariant factors) feeds the Davenport formulas and
-cross-checks.  invariant_generators names one concrete unit per
-invariant factor, for the classical construction of a product-one-free
-sequence, and log_index writes every unit as an exponent vector over
-those generators: the product-one DP of sequences indexes units by
-those vectors, where multiplying by a unit is a translation.  Witnesses
-stay residues, multiplied mod n, so checking one needs no discrete
-logarithm.  power_automorphisms hands the search engine generators of
-the power maps of each CRT component, which permute the elements of a
-monoid and fix its idempotents; it reads each element through crt_key,
-a residue's images in the components.
+invariant_generators is the one decomposition: one concrete unit per
+invariant factor, from the one table of the groups U(p^k).  Its orders
+are the shape, for the Davenport formula and theorem test; its units
+give the classical product-one-free sequence; log_index writes every
+unit as an exponent vector over them, so the product-one DP of
+sequences indexes units by those vectors, where multiplying by a unit
+is a translation.  Witnesses stay residues, multiplied mod n, so
+checking one needs no discrete logarithm.  power_automorphisms hands
+the search engine generators of the power maps of each CRT component,
+which permute the elements of a monoid and fix its idempotents; it
+reads each element through crt_key, a residue's images in components.
 """
 from __future__ import annotations
 
@@ -37,50 +37,10 @@ def units(n: int) -> list[int]:
     return [a for a in range(1, n) if gcd(a, n) == 1]
 
 
-def _merge_invariant_factors(orders) -> tuple[int, ...]:
-    """Fold a multiset of cyclic orders into invariant-factor form by
-    repeated (a, b) -> (gcd, lcm) normalization."""
-    ds = sorted(d for d in orders if d > 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                a, b = ds[i], ds[j]
-                if b % a:
-                    g = gcd(a, b)
-                    ds[i], ds[j] = g, a * b // g
-                    changed = True
-        ds = sorted(d for d in ds if d > 1)
-    return tuple(ds)
-
-
-def unit_group_shape(f: Factorization) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... | d_s of (Z/nZ)^x, empty for the
-    trivial group: odd p^k contributes a cyclic factor of order
-    p^(k-1)(p-1); 2 nothing; 4 a C2; 2^k (k >= 3) a C2 x C_{2^(k-2)}."""
-    cyclic: list[int] = []
-    for p, k in f.factors:
-        if p == 2:
-            if k == 2:
-                cyclic.append(2)
-            elif k >= 3:
-                cyclic.append(2)
-                cyclic.append(2 ** (k - 2))
-        else:
-            cyclic.append(p ** (k - 1) * (p - 1))
-    shape = _merge_invariant_factors(cyclic)
-    if prod(shape) != totient(f):
-        raise InconsistencyError(
-            f"shape order {prod(shape)} != phi({f.n}) = {totient(f)}"
-        )  # unreachable
-    return shape
-
-
 def _component_generators(p: int, k: int) -> list[tuple[int, int]]:
     """(generator, order) pairs whose cyclic groups multiply directly to
-    (Z/p^kZ)^x: the least primitive root for odd p, -1 mod 4, and -1 and
-    5 mod 2^k for k >= 3."""
+    (Z/p^kZ)^x, the package's one table of U(p^k): the least primitive
+    root for odd p, -1 mod 4, and -1 and 5 mod 2^k for k >= 3."""
     q = p ** k
     if p == 2:
         if k == 1:
@@ -122,11 +82,17 @@ def invariant_generators(f: Factorization) -> tuple[tuple[int, int], ...]:
         for gen, (order, y) in zip(gens, sorted(ranked, reverse=True)):
             gen[0], gen[1] = gen[0] * y % n, gen[1] * order
     out = tuple((g, d) for g, d in reversed(gens))
-    if tuple(d for _, d in out) != unit_group_shape(f):
+    if prod(d for _, d in out) != totient(f):
         raise InconsistencyError(
-            f"generator orders {out} disagree with the shape of (Z/{n}Z)^x"
+            f"generator orders {out} do not multiply to phi({n}) = {totient(f)}"
         )  # unreachable
     return out
+
+
+def unit_group_shape(f: Factorization) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... | d_s of (Z/nZ)^x, empty for the
+    trivial group: the orders of invariant_generators(f)."""
+    return tuple(d for _, d in invariant_generators(f))
 
 
 @cache
@@ -182,9 +148,9 @@ def power_automorphisms(f: Factorization, labels: Sequence[int]) -> list[list[in
     perms = []
     for j, (p, q) in enumerate(moduli):
         # lambda(p^k), the exponent of U(p^k), is its largest invariant
-        # factor; (Z/lam Z)^x is trivial for lam <= 2
-        lam = max(unit_group_shape(factorize(q)), default=1)
-        for e, _ in invariant_generators(factorize(lam)) if lam > 2 else ():
+        # factor; q != 2, so lam >= 2, and (Z/2Z)^x has no generator
+        lam = unit_group_shape(factorize(q))[-1]
+        for e, _ in invariant_generators(factorize(lam)):
             images = [
                 (*key[:j], pow(key[j], e, q) if key[j] % p else key[j], *key[j + 1 :])
                 for key in keys

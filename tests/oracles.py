@@ -15,7 +15,9 @@ One reference is a DP, not a brute force: bitscan_product_one_pick is
 the product-one DP over width-n residue masks, multiplying a set by a
 unit one set bit at a time.  The package runs the same DP in
 exponent-vector coordinates, and tests compare the two selections at
-sizes the brute force cannot reach.
+sizes the brute force cannot reach.  gcd_lcm_shape is no brute force
+either: it folds the textbook cyclic orders of each U(p^k) into
+invariant factors, so tests reach moduli whose units cannot be listed.
 """
 from __future__ import annotations
 
@@ -198,6 +200,41 @@ def shape_order_multiset(invariant_factors) -> list[int]:
             o = lcm(o, d // gcd(x, d))
         orders.append(o)
     return sorted(orders) if invariant_factors else [1]
+
+
+def gcd_lcm_shape(n: int) -> tuple[int, ...]:
+    """Invariant factors d_1 | ... | d_s of (Z/nZ)^x: factor n by trial
+    division, list the cyclic orders of each U(p^k) (p^(k-1)(p-1) for odd
+    p, nothing for 2, 2 for 4, 2 and 2^(k-2) for 2^k with k >= 3), then
+    replace any pair (a, b) where a does not divide b by (gcd, lcm) until
+    the sorted orders form a divisor chain."""
+    from math import lcm
+
+    orders, m, p = [], n, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        if p == 2:
+            orders += [2] if k == 2 else [2, 2 ** (k - 2)] if k >= 3 else []
+        elif k:
+            orders.append(p ** (k - 1) * (p - 1))
+        p += 1
+    ds = sorted(d for d in orders if d > 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                a, b = ds[i], ds[j]
+                if b % a:
+                    ds[i], ds[j] = gcd(a, b), lcm(a, b)
+                    changed = True
+        ds = sorted(d for d in ds if d > 1)
+    return tuple(ds)
 
 
 def residue_monoid(n: int, forbidden: int, candidates):

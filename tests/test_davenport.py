@@ -13,7 +13,7 @@ from ebmod.davenport import (
 from ebmod.errors import DomainError, UndecidedError
 from ebmod.search import FreeSearch, SearchBudget
 from ebmod.sequences import product_set
-from ebmod.unitgroup import totient, unit_group_shape
+from ebmod.unitgroup import invariant_generators, totient, unit_group_shape
 
 from oracles import _searched_davenport, brute_davenport, brute_is_product_one_free
 
@@ -184,6 +184,49 @@ def test_a_refused_theorem_search_brackets_at_the_formula():
     with pytest.raises(UndecidedError) as info:
         davenport_exact(4097)
     assert info.value.bounds == (255, 255)
+
+
+@pytest.mark.parametrize("n, states", ((21, 50), (15, 8), (24, 4)))
+def test_a_refuted_formula_keeps_the_value_when_the_walk_runs_out(
+    monkeypatch, n, states
+):
+    # with no theorem to cite, the probe refutes the formula's length in
+    # exactly `states` states and the witness walk then runs out: the
+    # bracket is closed at the formula, so D is exact with the classical
+    # sequence as witness.  One state fewer leaves the probe unfinished,
+    # and the bracket open up to phi(n), so D stays undecided
+    davenport_exact.cache_clear()
+    monkeypatch.setattr(dav_mod, "_theorem", lambda shape: None)
+    f = factorize(n)
+    formula = davenport_formula_bound(unit_group_shape(f))
+    try:
+        r = davenport_exact(n, SearchBudget(max_states=states))
+        with pytest.raises(UndecidedError) as info:
+            davenport_exact(n, SearchBudget(max_states=states - 1))
+    finally:
+        davenport_exact.cache_clear()
+    assert (r.value, r.method) == (formula, "formula-cross-checked + construction")
+    gens = invariant_generators(f)
+    assert r.witness.as_tuple() == tuple(
+        sorted(g for g, d in gens for _ in range(d - 1))
+    )
+    certify.product_one_free(r.witness, r.value)
+    assert info.value.bounds == (formula, totient(f))
+
+
+def test_a_refused_search_stays_undecided_at_a_closed_bracket(monkeypatch):
+    # (Z/1009Z)^x is cyclic, so the formula is phi(1009) = 1008 and the
+    # bracket is closed at it even with no theorem to cite; the engine's
+    # size guard refuses the search, so no walk ran out, and D stays
+    # undecided rather than taking the construction
+    davenport_exact.cache_clear()
+    monkeypatch.setattr(dav_mod, "_theorem", lambda shape: None)
+    try:
+        with pytest.raises(UndecidedError) as info:
+            davenport_exact(1009)
+    finally:
+        davenport_exact.cache_clear()
+    assert info.value.bounds == (1008, 1008)
 
 
 def test_a_construction_witness_is_cached_for_its_budget_only():

@@ -11,7 +11,20 @@ from ebmod.unitgroup import (
     units,
 )
 
-from oracles import brute_unit_orders, shape_order_multiset
+from oracles import brute_unit_orders, gcd_lcm_shape, shape_order_multiset
+
+# moduli at the edge of factorize's range: a prime near 10^12, the square
+# of a prime near 10^6, 2^39, 3^25, and the products of the first 9, 10
+# and 11 primes
+LARGE_MODULI = (
+    999999999989,
+    999966000289,
+    2 ** 39,
+    3 ** 25,
+    223092870,
+    6469693230,
+    200560490130,
+)
 
 
 def test_units_examples():
@@ -51,6 +64,13 @@ def test_shape_divisibility_chain_and_order():
         assert prod(ds) == totient(f)
 
 
+def test_shape_equals_the_gcd_lcm_fold():
+    # unit_group_shape reads the orders of invariant_generators; the test
+    # oracle folds the textbook component orders by gcd/lcm instead
+    for n in (*range(2, 3001), *LARGE_MODULI):
+        assert unit_group_shape(factorize(n)) == gcd_lcm_shape(n), n
+
+
 def test_shape_matches_element_order_multiset():
     # the multiset of element orders determines the abstract group
     for n in range(2, 201):
@@ -71,7 +91,7 @@ def test_invariant_generators_span_the_unit_group_directly():
     for n in range(2, 301):
         f = factorize(n)
         gens = invariant_generators(f)
-        assert tuple(d for _, d in gens) == unit_group_shape(f)
+        assert tuple(d for _, d in gens) == gcd_lcm_shape(n)
         orders = brute_unit_orders(n)
         reached = {1}
         for g, d in gens:
