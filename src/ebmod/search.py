@@ -13,8 +13,8 @@ residue of its class; the engine reads its size, product, forbidden
 mask and candidates, and longest_free reads the witness back through
 its labels.  On the engine whose witness is read, labels increase with
 the index, so its lexicographically smallest sequence of elements is
-the smallest one of labels; the probes may run on a second engine in
-another order (Search order, below).  davenport_exact
+the smallest one of labels; the probes run on an engine of their own,
+possibly in another order (Search order, below).  davenport_exact
 searches the units, eb_exact the quotient monoid M(n) of ebconstant;
 the identity labelling of Z/nZ itself is what the tests' independent
 search runs on.
@@ -151,8 +151,7 @@ Key facts the engine leans on:
   every state whose cut set at the query's floor is its key, since
   reach(K, g) is that state's reach from g, so a hit changes no verdict,
   and with it no probe, witness or order of the walk.  FreeSearch._next,
-  the one walk, reads the entry of each child where it builds it, and
-  the probes and a witness walk on one engine share its memo.
+  the one walk, reads the entry of each child where it builds it.
 
 * Symmetry.  Let G be the group generated by the automorphisms
   Monoid.symmetries lists; each fixes the forbidden mask and the
@@ -178,10 +177,10 @@ Key facts the engine leans on:
   pair.  The power bound still applies, since s* is among the
   extensions it keeps.  A root child's verdict in such a probe then
   depends on its first term, so the child is neither read from the
-  memo nor written to it; states at depth >= 2 try every next term, so
-  their entries stay exact.  Every probe prunes; the witness walk tries
-  every term and reads from a probe's memo only those exact entries,
-  so the witness cannot move.
+  memo nor written to it, since the probes of one gallop share the memo;
+  states at depth >= 2 try every next term, so their entries stay
+  exact.  Every probe prunes; the witness walk runs on an engine of its
+  own and tries every term, so the witness cannot move.
 
 * Search order.  A probe's verdict does not depend on the order in which
   the engine enumerates.  Rename the elements by a permutation pi,
@@ -310,8 +309,7 @@ class Monoid(NamedTuple):
     order of those probes, order()[k] becoming element k of the engine
     they run on (Search order in the module docstring); longest_free
     calls it once, when its bracket leaves a probe to run, and the
-    default lists none, so the probes run on the monoid itself and the
-    witness walk reuses their engine."""
+    default lists none, so the probes run on the monoid itself."""
 
     n: int
     labels: Sequence[int]
@@ -404,12 +402,10 @@ class FreeSearch:
     candidate's preimage table is built on the first child it makes,
     and an element's powers on the first power bound that reads them,
     so a walk that tries few candidates builds few of either; the orbits
-    of the monoid's symmetries are swept on the first probe.  An engine
-    made with another's meter draws on its state count and deadline."""
+    of the monoid's symmetries are swept on the first probe.  Each state
+    it explores ticks `meter`."""
 
-    def __init__(
-        self, monoid: Monoid, budget: SearchBudget, meter: _Meter | None = None
-    ):
+    def __init__(self, monoid: Monoid, meter: _Meter):
         self.size = size = len(monoid.labels)
         # the product rule read directly where rows of products are built
         self._labels, self._index, self._n = labels, index, n = (
@@ -436,7 +432,7 @@ class FreeSearch:
                     J |= 1 << index[lf * m % n]
             ideal[f] = J
         self._memo: dict[int, int] = {}
-        self._meter = meter or _Meter(budget)
+        self._meter = meter
         self._tables: list[list[int] | None] = [None] * size
         self._powers: list[list[int] | None] = [None] * size
         self._symmetries = monoid.symmetries
@@ -571,9 +567,8 @@ class FreeSearch:
         """Is there a free sequence of length r?  The walk tries only the
         first two terms the symmetry rules of the module docstring leave
         (all, under no generator); the verdict is the same, and the memo
-        keeps only entries of depth >= 2 states, which stay exact."""
-        if r <= 0:
-            return True
+        keeps only entries of depth >= 2 states, which stay exact.  r must
+        be >= 1."""
         if self._pairs is None:
             self._orbits()
         A, rest = self._usable, r - 1
@@ -669,10 +664,9 @@ def longest_free(
     upward from floor while the next length is below ceiling, so floor
     == ceiling runs no probe (cap bounds every free length, so ceiling
     = cap + 1 proves nothing more).  The witness walk then runs at the
-    longest confirmed length on an engine in label order: the probe
-    engine itself, memo and all, when there is no search order, else a
-    fresh one built after the probe engine is dropped.  Its first step
-    checks that length, so a floor too high raises InconsistencyError.
+    longest confirmed length on a fresh engine in label order, built
+    after the probe engine is dropped.  Its first step checks that
+    length, so a floor too high raises InconsistencyError.
     The engines share one state count and deadline.  A budget that runs
     out leaves the bracket [length + 1, ceiling], length being the
     longest the search confirmed (floor - 1 before the first probe), and
@@ -682,18 +676,15 @@ def longest_free(
     try:
         _check_size(size, cap)
         M = monoid()
-        engine = None
         if length + 1 < ceiling:
             order = M.order()
-            engine = FreeSearch(M.reindexed(order) if order else M, budget, meter)
-            while length + 1 < ceiling and engine.exists_free(length + 1):
+            probe = FreeSearch(M.reindexed(order) if order else M, meter)
+            while length + 1 < ceiling and probe.exists_free(length + 1):
                 length += 1
             ceiling = length + 1  # a probe refuted it, or the caller did
-            if order:
-                engine = None  # its tables go before the walk builds its own
-        engine = engine or FreeSearch(M, budget, meter)
+            del probe  # its tables go before the walk builds its own
         try:
-            path = engine.witness(length)
+            path = FreeSearch(M, meter).witness(length)
         except InconsistencyError:
             raise InconsistencyError(
                 f"claimed lower bound {length} refuted for n={M.n}"

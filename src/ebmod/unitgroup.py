@@ -142,14 +142,16 @@ def power_automorphisms(f: Factorization, labels: Sequence[int]) -> list[list[in
     p^j, which a unit times p^j equals; so on the units mod n (with 0)
     and on ebconstant's M(n) each is a monoid automorphism, and it fixes
     the idempotents, whose unit parts are 1."""
-    moduli = [(p, p ** k) for p, k in f.factors if p ** k != 2]
+    factors = [(p, k) for p, k in f.factors if p ** k != 2]
+    moduli = [(p, p ** k) for p, k in factors]
     keys = [crt_key(r, moduli) for r in labels]
     where = {key: i for i, key in enumerate(keys)}
     perms = []
-    for j, (p, q) in enumerate(moduli):
-        # lambda(p^k), the exponent of U(p^k), is its largest invariant
-        # factor; q != 2, so lam >= 2, and (Z/2Z)^x has no generator
-        lam = unit_group_shape(factorize(q))[-1]
+    for j, (p, k) in enumerate(factors):
+        q = p ** k
+        # lambda(p^k), the exponent of U(p^k), is the largest order in its
+        # table; q != 2, so lam >= 2, and (Z/2Z)^x has no generator
+        lam = max(m for _, m in _component_generators(p, k))
         for e, _ in invariant_generators(factorize(lam)):
             images = [
                 (*key[:j], pow(key[j], e, q) if key[j] % p else key[j], *key[j + 1 :])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 import ebmod.davenport as dav_mod
@@ -212,6 +214,36 @@ def test_a_refuted_formula_keeps_the_value_when_the_walk_runs_out(
     )
     certify.product_one_free(r.witness, r.value)
     assert info.value.bounds == (formula, totient(f))
+
+
+@pytest.mark.parametrize("n", (21, 15, 24))
+def test_a_refutation_walks_its_witness_on_a_fresh_engine(monkeypatch, n):
+    # the units hand over no search order, yet the probe engine is gone
+    # before the witness walk's engine is built, and the walk starts from
+    # an empty memo
+    engines, walked = [], []
+    real_init, real_witness = FreeSearch.__init__, FreeSearch.witness
+
+    def collected(self, *args):
+        assert all(ref() is None for ref in engines)
+        real_init(self, *args)
+        engines.append(weakref.ref(self))
+
+    def witness(self, length):
+        walked.append((self, len(self._memo)))
+        return real_witness(self, length)
+
+    monkeypatch.setattr(FreeSearch, "__init__", collected)
+    monkeypatch.setattr(FreeSearch, "witness", witness)
+    davenport_exact.cache_clear()
+    monkeypatch.setattr(dav_mod, "_theorem", lambda shape: None)
+    try:
+        r = davenport_exact(n)
+    finally:
+        davenport_exact.cache_clear()
+    assert r.method == "formula-cross-checked"
+    assert len(engines) == 2
+    assert walked == [(engines[1](), 0)]
 
 
 def test_a_refused_search_stays_undecided_at_a_closed_bracket(monkeypatch):
